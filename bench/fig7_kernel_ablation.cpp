@@ -122,19 +122,23 @@ KernelTimes bench_sptrsv(const Box& box, Pattern pat, int reps) {
 
   const std::size_t n = static_cast<std::size_t>(Ld.nrows());
   avec<float> f(n, 1.0f), u(n, 0.0f);
+  // The SOA series time the sweep the solver runs: with the level's line
+  // schedule, as MGHierarchy plans it.
+  const WavefrontSchedule wf = plan_smoother_wavefront(
+      box, Ld.stencil(), Layout::SOAL, SmootherParallel::Auto);
 
   KernelTimes kt;
   // Baseline is the best full-FP32 implementation: SOA line-buffered.
   kt.fp32_aos = time_best(
       [&] {
         gs_forward<float, float>(L32s, {f.data(), n}, {u.data(), n},
-                                 {invdf.data(), invdf.size()});
+                                 {invdf.data(), invdf.size()}, nullptr, &wf);
       },
       reps);
   kt.fp16_soa = time_best(
       [&] {
         gs_forward<half, float>(L16s, {f.data(), n}, {u.data(), n},
-                                {invdf.data(), invdf.size()});
+                                {invdf.data(), invdf.size()}, nullptr, &wf);
       },
       reps);
   kt.fp16_aos = time_best(

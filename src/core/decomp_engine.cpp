@@ -99,42 +99,9 @@ void boxed_restrict(const Coarsening& c, int bs, const SubBox& fs,
   }
 }
 
-/// Per-box prolongation: fine box `fs`'s interior dofs gather their coarse
-/// parents from the coarse storage box `cl` (a sub-box's local box shifted
-/// by `coff`, or the global coarse box with coff = 0 across the
-/// agglomeration boundary).  Parent fold order and weights match
-/// prolong_add exactly (bitwise-identical per fine dof).
-template <class CT>
-void boxed_prolong_add(const Coarsening& c, int bs, const CT* ec,
-                       const Box& cl, const std::array<int, 3>& coff,
-                       const SubBox& fs, CT* uf) {
-  const Box fl = fs.local();
-  for (int k = fs.lo[2]; k < fs.lo[2] + fs.n[2]; ++k) {
-    const auto pk = detail::parents_of(k, c.coarse.nz, c.mask[2]);
-    for (int j = fs.lo[1]; j < fs.lo[1] + fs.n[1]; ++j) {
-      const auto pj = detail::parents_of(j, c.coarse.ny, c.mask[1]);
-      for (int i = fs.lo[0]; i < fs.lo[0] + fs.n[0]; ++i) {
-        const auto pi = detail::parents_of(i, c.coarse.nx, c.mask[0]);
-        const std::int64_t fcell =
-            fl.idx(i - fs.off(0), j - fs.off(1), k - fs.off(2));
-        for (int br = 0; br < bs; ++br) {
-          CT acc{0};
-          for (int a = 0; a < pk.count; ++a) {
-            for (int b = 0; b < pj.count; ++b) {
-              for (int cidx = 0; cidx < pi.count; ++cidx) {
-                const double w = pk.w[a] * pj.w[b] * pi.w[cidx];
-                const std::int64_t ccell =
-                    cl.idx(pi.idx[cidx] - coff[0], pj.idx[b] - coff[1],
-                           pk.idx[a] - coff[2]);
-                acc += static_cast<CT>(w) * ec[ccell * bs + br];
-              }
-            }
-          }
-          uf[fcell * bs + br] += acc;
-        }
-      }
-    }
-  }
+/// A sub-box's storage (interior + ghosts) as a transfer-kernel view.
+GridView view_of(const SubBox& s) {
+  return GridView{s.local(), {s.off(0), s.off(1), s.off(2)}};
 }
 
 }  // namespace
@@ -593,19 +560,21 @@ void DecompEngine<CT>::cycle(int lev, bool zero_guess) {
     exchange(lev + 1, /*residual_field=*/false);
     const obs::KernelSpan span(obs::Kind::Prolong);
     pool_->run(nb, [&](int b) {
-      const SubBox& cs = C.decomp.box(b);
-      boxed_prolong_add<CT>(
-          hl.to_coarse, bs,
-          C.boxes[static_cast<std::size_t>(b)].u.data(), cs.local(),
-          {cs.off(0), cs.off(1), cs.off(2)}, D.decomp.box(b),
-          D.boxes[static_cast<std::size_t>(b)].u.data());
+      const SubBox& fs = D.decomp.box(b);
+      prolong_add_box<CT>(hl.to_coarse, bs,
+                          C.boxes[static_cast<std::size_t>(b)].u.data(),
+                          view_of(C.decomp.box(b)),
+                          D.boxes[static_cast<std::size_t>(b)].u.data(),
+                          view_of(fs), fs.lo, fs.n);
     });
   } else {
     const obs::KernelSpan span(obs::Kind::Prolong);
     pool_->run(nb, [&](int b) {
-      boxed_prolong_add<CT>(hl.to_coarse, bs, C.u.data(),
-                            hl.to_coarse.coarse, {0, 0, 0}, D.decomp.box(b),
-                            D.boxes[static_cast<std::size_t>(b)].u.data());
+      const SubBox& fs = D.decomp.box(b);
+      prolong_add_box<CT>(hl.to_coarse, bs, C.u.data(),
+                          GridView{hl.to_coarse.coarse, {}},
+                          D.boxes[static_cast<std::size_t>(b)].u.data(),
+                          view_of(fs), fs.lo, fs.n);
     });
   }
 
@@ -685,21 +654,22 @@ void DecompEngine<CT>::fcycle() {
         const obs::LevelScope level_scope(l);
         const obs::KernelSpan span(obs::Kind::Prolong);
         pool_->run(nb, [&](int b) {
-          const SubBox& cs = C.decomp.box(b);
-          boxed_prolong_add<CT>(
-              hl.to_coarse, bs,
-              C.boxes[static_cast<std::size_t>(b)].u.data(), cs.local(),
-              {cs.off(0), cs.off(1), cs.off(2)}, D.decomp.box(b),
-              D.boxes[static_cast<std::size_t>(b)].u.data());
+          const SubBox& fs = D.decomp.box(b);
+          prolong_add_box<CT>(hl.to_coarse, bs,
+                              C.boxes[static_cast<std::size_t>(b)].u.data(),
+                              view_of(C.decomp.box(b)),
+                              D.boxes[static_cast<std::size_t>(b)].u.data(),
+                              view_of(fs), fs.lo, fs.n);
         });
       } else {
         const obs::LevelScope level_scope(l);
         const obs::KernelSpan span(obs::Kind::Prolong);
         pool_->run(nb, [&](int b) {
-          boxed_prolong_add<CT>(hl.to_coarse, bs, C.u.data(),
-                                hl.to_coarse.coarse, {0, 0, 0},
-                                D.decomp.box(b),
-                                D.boxes[static_cast<std::size_t>(b)].u.data());
+          const SubBox& fs = D.decomp.box(b);
+          prolong_add_box<CT>(hl.to_coarse, bs, C.u.data(),
+                              GridView{hl.to_coarse.coarse, {}},
+                              D.boxes[static_cast<std::size_t>(b)].u.data(),
+                              view_of(fs), fs.lo, fs.n);
         });
       }
     }

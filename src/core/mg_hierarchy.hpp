@@ -13,6 +13,7 @@
 // rescale or promote it in place — without redoing the Galerkin chain.
 #pragma once
 
+#include <cmath>
 #include <vector>
 
 #include "core/autopilot.hpp"
@@ -49,9 +50,17 @@ struct Level {
   double stored_max_abs = 0.0;
   Prec storage = Prec::FP64;
   /// Level-scheduled SymGS sweep plan; invalid means "sequential sweep"
-  /// (Sequential mode, wavefront-incompatible stencil, or a level the Auto
-  /// heuristic judged too small).  Computed once at setup.
+  /// (Sequential mode, wavefront-incompatible stencil, or an AOS level the
+  /// Auto heuristic judged too small).  Computed once at setup, independent
+  /// of the thread count for the SOA-family line schedules.
   WavefrontSchedule smoother_wf;
+
+  /// Every value of A_stored is finite: no truncation overflow and a finite
+  /// source range.  The zero-guess SymGS sweep is only exact under this
+  /// guard (it skips products with zeros, which an Inf would turn to NaN).
+  bool stored_finite() const noexcept {
+    return trunc.safe() && std::isfinite(stored_max_abs);
+  }
 };
 
 class MGHierarchy {

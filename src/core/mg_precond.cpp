@@ -73,7 +73,7 @@ void MGPrecond<CT>::refresh_level(int l) {
 }
 
 template <class CT>
-void MGPrecond<CT>::smooth(int lev, bool forward) {
+void MGPrecond<CT>::smooth(int lev, bool forward, bool zero_guess) {
   const Level& hl = h_->level(lev);
   LevelData& L = lv_[static_cast<std::size_t>(lev)];
   const CT* q2 = L.q2.empty() ? nullptr : L.q2.data();
@@ -87,7 +87,9 @@ void MGPrecond<CT>::smooth(int lev, bool forward) {
     const WavefrontSchedule* wf =
         hl.smoother_wf.valid() ? &hl.smoother_wf : nullptr;
     hl.A_stored.visit([&](const auto& m) {
-      if (forward) {
+      if (zero_guess) {
+        gs_forward_zero_guess(m, f, u, invdiag, q2, wf);
+      } else if (forward) {
         gs_forward(m, f, u, invdiag, q2, wf);
       } else {
         gs_backward(m, f, u, invdiag, q2, wf);
@@ -131,11 +133,18 @@ void MGPrecond<CT>::cycle(int lev, bool zero_guess) {
     return;
   }
 
-  if (zero_guess) {
+  // From a zero guess the first forward SymGS sweep skips the diagonals
+  // that point at still-zero cells and never reads u, so it replaces the
+  // set_zero too — but only while every stored value is finite: an Inf
+  // times the zero it would skip is a NaN the full sweep produces.
+  const bool zero_sweep = zero_guess && cfg.nu1 > 0 &&
+                          cfg.smoother == SmootherType::SymGS &&
+                          hl.stored_finite();
+  if (zero_guess && !zero_sweep) {
     set_zero(std::span<CT>{L.u.data(), L.u.size()});
   }
   for (int s = 0; s < cfg.nu1; ++s) {
-    smooth(lev, /*forward=*/true);
+    smooth(lev, /*forward=*/true, zero_sweep && s == 0);
   }
 
   // Downstroke: C.f = R (f - A u).  Fused by default — the residual is

@@ -52,7 +52,10 @@ class MGPrecond {
 
  private:
   void cycle(int lev, bool zero_guess);
-  void smooth(int lev, bool forward);
+  /// One smoothing sweep on level `lev`.  `zero_guess` (forward SymGS
+  /// only) runs the zero-guess sweep, which never reads u: the caller has
+  /// checked that it equals set_zero + a full sweep on this level.
+  void smooth(int lev, bool forward, bool zero_guess = false);
   void cycle_many(int lev, bool zero_guess);
   void smooth_many(int lev, bool forward);
   /// FMG F-cycle (docs/CYCLE_SHAPES.md): inject the rhs level by level to

@@ -130,6 +130,19 @@ WavefrontSchedule plan_smoother_wavefront(const Box& box, const Stencil& st,
   if (mode == SmootherParallel::Sequential) {
     return {};
   }
+  if (layout != Layout::AOS) {
+    // Line schedules serve every thread count: the sweep interleaves the
+    // recurrences of same-level lines even on one thread.  Auto only keeps
+    // levels too narrow to feed 4 threads from spreading over the team (a
+    // line is a big work item, nx cells x ndiag, yet the per-level barrier
+    // must still amortize).  Nothing here depends on the thread count, so
+    // a cached hierarchy plans the same at any later count.
+    WavefrontSchedule wf = WavefrontSchedule::lines(box, st);
+    if (mode == SmootherParallel::Auto) {
+      wf.set_threaded(wf.mean_parallelism() >= 4.0);
+    }
+    return wf;  // invalid for stencils outside the wavefront bound
+  }
   int threads = 1;
 #if defined(_OPENMP)
   threads = omp_get_max_threads();
@@ -137,23 +150,15 @@ WavefrontSchedule plan_smoother_wavefront(const Box& box, const Stencil& st,
   if (mode == SmootherParallel::Auto && threads <= 1) {
     return {};
   }
-  WavefrontSchedule wf = layout == Layout::AOS
-                             ? WavefrontSchedule::cells(box, st)
-                             : WavefrontSchedule::lines(box, st);
+  WavefrontSchedule wf = WavefrontSchedule::cells(box, st);
   if (!wf.valid()) {
     return {};  // stencil outside the wavefront bound: sequential fallback
   }
-  if (mode == SmootherParallel::Auto) {
-    // A wavefront level must feed every thread to beat the sequential
-    // sweep's perfect locality; a line is a big work item (nx cells x
-    // ndiag), a cell a tiny one, so the cell path needs far more slack
-    // before the per-level barrier amortizes.
-    const double floor_par = layout == Layout::AOS
-                                 ? 16.0 * std::max(4, threads)
-                                 : 1.0 * std::max(4, threads);
-    if (wf.mean_parallelism() < floor_par) {
-      return {};
-    }
+  // A cell is a tiny work item, so a level must feed every thread many
+  // times over before the per-level barrier amortizes.
+  if (mode == SmootherParallel::Auto &&
+      wf.mean_parallelism() < 16.0 * std::max(4, threads)) {
+    return {};
   }
   return wf;
 }

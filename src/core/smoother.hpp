@@ -29,9 +29,11 @@ std::size_t truncate_smoother_data(avec<double>& data, Prec storage);
 /// Decide and build the wavefront schedule driving one level's SymGS sweeps
 /// (line granularity for the SOA-family layouts, cell granularity for AOS).
 /// Returns an *invalid* schedule — meaning "use the sequential sweep" — when
-/// `mode` is Sequential, when the stencil violates the wavefront bound, or
-/// when the Auto heuristic judges the level too small to amortize the
-/// per-level barriers (see DESIGN.md "Wavefront-parallel SymGS").
+/// `mode` is Sequential or the stencil violates the wavefront bound; for
+/// AOS also when the Auto heuristic judges the level too small to amortize
+/// the per-level barriers at the current thread count.  SOA-family line
+/// schedules do not depend on the thread count: Auto marks narrow levels
+/// not threaded() instead (see DESIGN.md "Wavefront-parallel SymGS").
 WavefrontSchedule plan_smoother_wavefront(const Box& box, const Stencil& st,
                                           Layout layout,
                                           SmootherParallel mode);

@@ -366,20 +366,181 @@ void prolong_add_many(const Coarsening& c, int bs, const MultiVector<CT>& ec,
   }
 }
 
-/// u_f += P e_c: each fine point gathers from its coarse parents.  Already
-/// gather-form (fine-point-centric), so line-parallelism is free; the
-/// per-point accumulation order is unchanged, making the result bitwise
-/// identical at any thread count.
+/// A vector's storage box and its global-to-storage coordinate shift
+/// (storage = global - off): a whole level (off = 0) or one sub-box of a
+/// box decomposition with its ghost ring.
+struct GridView {
+  Box box;
+  std::array<int, 3> off{};
+
+  std::int64_t idx(int i, int j, int k) const noexcept {
+    return box.idx(i - off[0], j - off[1], k - off[2]);
+  }
+};
+
+namespace detail {
+
+/// u_f += P e_c along one fine x-line over global columns [i0, i1), streaming
+/// its NL coarse parent lines.  el[l] is parent line l at coarse column
+/// `coff` (its storage x = 0); w[l] is its line weight (the product of the
+/// y/z parent weights) for an even or uncoarsened fine column and h[l] =
+/// w[l] / 2 the weight of each of an odd column's two parents.  Per point
+/// the fold runs line by line, low then high parent: prolong_add_pointwise's
+/// (a, b, cidx) order with the same power-of-two weights, so every fine dof
+/// is bitwise the per-point kernel's.
+template <int NL, class CT>
+inline void prolong_line(const CT* const* el, const CT* w, const CT* h,
+                         int bs, bool cx, int ncx, int coff, int i0, int i1,
+                         CT* SMG_RESTRICT ul) {
+  const auto point = [&](int i) {
+    CT* SMG_RESTRICT ur = ul + static_cast<std::int64_t>(i - i0) * bs;
+    const int ic = cx ? i >> 1 : i;
+    const std::int64_t e = static_cast<std::int64_t>(ic - coff) * bs;
+    if (!cx || (i & 1) == 0) {
+      for (int br = 0; br < bs; ++br) {
+        CT acc{0};
+        for (int l = 0; l < NL; ++l) {
+          acc += w[l] * el[l][e + br];
+        }
+        ur[br] += acc;
+      }
+      return;
+    }
+    // Odd column: two parents, or only the low one at the end of an
+    // even-length line.
+    const bool two = ic + 1 < ncx;
+    for (int br = 0; br < bs; ++br) {
+      CT acc{0};
+      for (int l = 0; l < NL; ++l) {
+        acc += h[l] * el[l][e + br];
+        if (two) {
+          acc += h[l] * el[l][e + bs + br];
+        }
+      }
+      ur[br] += acc;
+    }
+  };
+  int i = i0;
+  if (bs == 1 && cx) {
+    // Scalar coarsened lines: an (even, odd) column pair shares its low
+    // parents, so run pairs without the per-point parity branch.
+    if ((i & 1) != 0 && i < i1) {
+      point(i++);
+    }
+    for (; i + 1 < i1 && (i >> 1) + 1 < ncx; i += 2) {
+      const std::int64_t e = (i >> 1) - coff;
+      CT ae{0};
+      CT ao{0};
+      for (int l = 0; l < NL; ++l) {
+        const CT lo = el[l][e];
+        ae += w[l] * lo;
+        ao += h[l] * lo;
+        ao += h[l] * el[l][e + 1];
+      }
+      ul[i - i0] += ae;
+      ul[i + 1 - i0] += ao;
+    }
+  }
+  for (; i < i1; ++i) {
+    point(i);
+  }
+}
+
+/// u_f += P e_c along fine line (j, k) over global columns [i0, i1): resolve
+/// the line's (at most four) coarse parent lines and their weights once,
+/// then stream along x.
+template <class CT>
+inline void prolong_fine_line(const Coarsening& c, int bs, const CT* ec,
+                              const GridView& cv, CT* uf, const GridView& fv,
+                              int j, int k, int i0, int i1) {
+  const Box& coarse = c.coarse;
+  const auto pk = parents_of(k, coarse.nz, c.mask[2]);
+  const auto pj = parents_of(j, coarse.ny, c.mask[1]);
+  const CT* el[4];
+  CT w[4];
+  CT h[4];
+  int nl = 0;
+  for (int a = 0; a < pk.count; ++a) {
+    for (int b = 0; b < pj.count; ++b) {
+      const double wab = pk.w[a] * pj.w[b];
+      el[nl] = ec + cv.idx(cv.off[0], pj.idx[b], pk.idx[a]) * bs;
+      w[nl] = static_cast<CT>(wab);
+      h[nl] = static_cast<CT>(wab * 0.5);
+      ++nl;
+    }
+  }
+  CT* ul = uf + fv.idx(i0, j, k) * bs;
+  switch (nl) {
+    case 4:
+      prolong_line<4>(el, w, h, bs, c.mask[0], coarse.nx, cv.off[0], i0, i1,
+                      ul);
+      break;
+    case 2:
+      prolong_line<2>(el, w, h, bs, c.mask[0], coarse.nx, cv.off[0], i0, i1,
+                      ul);
+      break;
+    default:
+      prolong_line<1>(el, w, h, bs, c.mask[0], coarse.nx, cv.off[0], i0, i1,
+                      ul);
+      break;
+  }
+}
+
+}  // namespace detail
+
+/// u_f += P e_c over the fine points [lo, lo + n) (global coordinates),
+/// reading e_c through `cv` and updating u_f through `fv`: one sub-box of a
+/// box decomposition, whose caller already runs the boxes in parallel.
+/// Serial, and without a telemetry span (the caller opens one around the
+/// whole batch).
+template <class CT>
+void prolong_add_box(const Coarsening& c, int bs, const CT* ec,
+                     const GridView& cv, CT* uf, const GridView& fv,
+                     const std::array<int, 3>& lo,
+                     const std::array<int, 3>& n) {
+  for (int k = lo[2]; k < lo[2] + n[2]; ++k) {
+    for (int j = lo[1]; j < lo[1] + n[1]; ++j) {
+      detail::prolong_fine_line(c, bs, ec, cv, uf, fv, j, k, lo[0],
+                                lo[0] + n[0]);
+    }
+  }
+}
+
+/// u_f += P e_c on a whole level.  Line-streaming: each fine line resolves
+/// its coarse parent lines and weights once, then runs along x.  Fine lines
+/// are independent, so the loop is line-parallel and bitwise identical at
+/// any thread count.
 template <class CT>
 void prolong_add(const Coarsening& c, int bs, std::span<const CT> ec,
                  std::span<CT> uf) {
+  const Box& fine = c.fine;
+  SMG_CHECK(static_cast<std::int64_t>(uf.size()) == fine.size() * bs &&
+                static_cast<std::int64_t>(ec.size()) == c.coarse.size() * bs,
+            "prolong size mismatch");
+  const obs::KernelSpan span(obs::Kind::Prolong);
+  const GridView cv{c.coarse, {}};
+  const GridView fv{fine, {}};
+#pragma omp parallel for collapse(2) schedule(static)
+  for (int k = 0; k < fine.nz; ++k) {
+    for (int j = 0; j < fine.ny; ++j) {
+      detail::prolong_fine_line(c, bs, ec.data(), cv, uf.data(), fv, j, k, 0,
+                                fine.nx);
+    }
+  }
+}
+
+/// Reference per-point formulation of prolong_add: each fine point looks up
+/// its coarse parents and folds them in (a, b, cidx) order.  Kept as the
+/// ground truth the line-streaming kernel is tested against; not used on
+/// the solve path.
+template <class CT>
+void prolong_add_pointwise(const Coarsening& c, int bs,
+                           std::span<const CT> ec, std::span<CT> uf) {
   const Box& fine = c.fine;
   const Box& coarse = c.coarse;
   SMG_CHECK(static_cast<std::int64_t>(uf.size()) == fine.size() * bs &&
                 static_cast<std::int64_t>(ec.size()) == coarse.size() * bs,
             "prolong size mismatch");
-  const obs::KernelSpan span(obs::Kind::Prolong);
-#pragma omp parallel for collapse(2) schedule(static)
   for (int k = 0; k < fine.nz; ++k) {
     for (int j = 0; j < fine.ny; ++j) {
       const auto pk = detail::parents_of(k, coarse.nz, c.mask[2]);

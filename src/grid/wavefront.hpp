@@ -56,6 +56,14 @@ class WavefrontSchedule {
   std::int64_t nitems() const noexcept {
     return static_cast<std::int64_t>(items_.size());
   }
+  /// Whether a sweep may spread each level over the OpenMP team.  False
+  /// means "walk this order on the calling thread": the smoother planner
+  /// clears it for levels too narrow to amortize the per-level barrier,
+  /// while the line sweeps still use the order to interleave same-level
+  /// lines.  Factories return schedules with it set.
+  bool threaded() const noexcept { return threaded_; }
+  void set_threaded(bool t) noexcept { threaded_ = t; }
+
   /// Average exploitable parallelism: items per (non-empty) level.
   double mean_parallelism() const noexcept {
     const int nl = nlevels();
@@ -66,6 +74,7 @@ class WavefrontSchedule {
   std::vector<std::int32_t> items_;
   std::vector<std::int32_t> level_ptr_;  ///< size nlevels()+1; empty = invalid
   WfGranularity gran_ = WfGranularity::Line;
+  bool threaded_ = true;
 };
 
 }  // namespace smg

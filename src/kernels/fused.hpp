@@ -234,7 +234,7 @@ void residual_lines(const ResidualLineCtx<ST, CT>& ctx, const StructMat<ST>& A,
       std::int64_t c_shift[32];
       int c_ilo[32];
       int c_ihi[32];
-      const F16LineDesc d = f16_line_desc(ctx.proto, st, box, j, k, c_aoff,
+      const F16LineDesc d = f16_line_desc(ctx.proto, j, k, c_aoff,
                                           c_shift, c_ilo, c_ihi);
       const half* am = vals + ctx.proto.abase(base, line);
       if (q2 != nullptr) {

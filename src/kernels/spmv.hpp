@@ -164,31 +164,41 @@ inline void soa_diag_fma(const ST* SMG_RESTRICT a, const CT* SMG_RESTRICT x,
 
 /// Interior-line prototype for the register-blocked fp16 kernel (scalar
 /// unknowns), hoisted out of the line loop (per-line descriptor construction
-/// would otherwise rival the math itself): aoff[v] is the offset of diagonal
-/// v's run relative to the line's matrix base, shift[v] the x/q2 offset,
-/// [ilo, ihi) the valid columns, [lo, hi) where all diagonals are valid, and
+/// would otherwise rival the math itself): entry v is one kept diagonal,
+/// aoff[v] the offset of its run relative to the line's matrix base,
+/// shift[v] the x/q2 offset, (dy[v], dz[v]) its line offset, [ilo, ihi) the
+/// valid columns, [lo, hi) where all kept diagonals are valid, and
 /// [jlo,jhi)x[klo,khi) the interior lines on which the prototype applies
-/// unmodified.  Shared by apply_soa_f16_blocked and the fused
-/// residual_restrict (kernels/fused.hpp), which must agree bitwise.
+/// unmodified.  Entries keep stencil order, so the per-cell fold order is
+/// the stencil's with the dropped diagonals left out.  Shared by
+/// apply_soa_f16_blocked, the fused residual_restrict (kernels/fused.hpp)
+/// and the Gauss-Seidel pre-pass (kernels/symgs.hpp), which drops the
+/// diagonals it does not fold.
 struct F16LineProto {
   std::int64_t aoff[32];
   std::int64_t shift[32];
   int ilo[32];
   int ihi[32];
+  int dy[32];
+  int dz[32];
   int lo = 0, hi = 0;
   int jlo = 0, jhi = 0, klo = 0, khi = 0;
-  int nd = 0;
-  int nx = 0;
+  int nd = 0;  ///< kept diagonals
+  int nx = 0, ny = 0, nz = 0;
+  std::int64_t line_stride = 0;  ///< SOAL matrix entries per line
   Layout layout = Layout::SOA;
 
+  /// Bit d of `drop` leaves stencil diagonal d out.
   template <class ST>
-  explicit F16LineProto(const StructMat<ST>& A) {
+  explicit F16LineProto(const StructMat<ST>& A, std::uint32_t drop = 0) {
     const Box& box = A.box();
     const Stencil& st = A.stencil();
-    nd = st.ndiag();
     nx = box.nx;
+    ny = box.ny;
+    nz = box.nz;
     layout = A.layout();
-    SMG_CHECK(nd <= 32, "stencil wider than 3x3x3 is unsupported");
+    line_stride = static_cast<std::int64_t>(st.ndiag()) * nx;
+    SMG_CHECK(st.ndiag() <= 32, "stencil wider than 3x3x3 is unsupported");
     const std::int64_t ncells = A.ncells();
     jlo = 0;
     jhi = box.ny;
@@ -196,21 +206,27 @@ struct F16LineProto {
     khi = box.nz;
     lo = 0;
     hi = nx;
-    for (int d = 0; d < nd; ++d) {
+    for (int d = 0; d < st.ndiag(); ++d) {
+      if ((drop >> d) & 1U) {
+        continue;
+      }
       const Offset& o = st.offset(d);
-      aoff[d] = layout == Layout::SOA
-                    ? static_cast<std::int64_t>(d) * ncells
-                    : static_cast<std::int64_t>(d) * nx;
-      shift[d] = o.dx + static_cast<std::int64_t>(nx) *
-                            (o.dy + static_cast<std::int64_t>(box.ny) * o.dz);
-      ilo[d] = std::max(0, -static_cast<int>(o.dx));
-      ihi[d] = std::min(nx, nx - static_cast<int>(o.dx));
-      lo = std::max(lo, ilo[d]);
-      hi = std::min(hi, ihi[d]);
+      aoff[nd] = layout == Layout::SOA
+                     ? static_cast<std::int64_t>(d) * ncells
+                     : static_cast<std::int64_t>(d) * nx;
+      shift[nd] = o.dx + static_cast<std::int64_t>(nx) *
+                             (o.dy + static_cast<std::int64_t>(box.ny) * o.dz);
+      ilo[nd] = std::max(0, -static_cast<int>(o.dx));
+      ihi[nd] = std::min(nx, nx - static_cast<int>(o.dx));
+      dy[nd] = o.dy;
+      dz[nd] = o.dz;
+      lo = std::max(lo, ilo[nd]);
+      hi = std::min(hi, ihi[nd]);
       jlo = std::max(jlo, -static_cast<int>(o.dy));
       jhi = std::min(jhi, box.ny - static_cast<int>(o.dy));
       klo = std::max(klo, -static_cast<int>(o.dz));
       khi = std::min(khi, box.nz - static_cast<int>(o.dz));
+      ++nd;
     }
     hi = std::max(hi, lo);
   }
@@ -221,8 +237,7 @@ struct F16LineProto {
 
   /// Matrix base offset of line number `line` starting at cell `base`.
   std::int64_t abase(std::int64_t base, std::int64_t line) const noexcept {
-    return layout == Layout::SOA ? base
-                                 : line * static_cast<std::int64_t>(nd) * nx;
+    return layout == Layout::SOA ? base : line * line_stride;
   }
 };
 
@@ -239,8 +254,7 @@ struct F16LineDesc {
 
 /// Resolve line (j, k) against the prototype; boundary lines compact their
 /// valid diagonals into the caller-provided scratch arrays.
-inline F16LineDesc f16_line_desc(const F16LineProto& p, const Stencil& st,
-                                 const Box& box, int j, int k,
+inline F16LineDesc f16_line_desc(const F16LineProto& p, int j, int k,
                                  std::int64_t c_aoff[32],
                                  std::int64_t c_shift[32], int c_ilo[32],
                                  int c_ihi[32]) noexcept {
@@ -249,18 +263,17 @@ inline F16LineDesc f16_line_desc(const F16LineProto& p, const Stencil& st,
   }
   int nv = 0;
   int lo = 0, hi = p.nx;
-  for (int d = 0; d < p.nd; ++d) {
-    const Offset& o = st.offset(d);
-    if (j + o.dy < 0 || j + o.dy >= box.ny || k + o.dz < 0 ||
-        k + o.dz >= box.nz || p.ihi[d] <= p.ilo[d]) {
+  for (int v = 0; v < p.nd; ++v) {
+    if (j + p.dy[v] < 0 || j + p.dy[v] >= p.ny || k + p.dz[v] < 0 ||
+        k + p.dz[v] >= p.nz || p.ihi[v] <= p.ilo[v]) {
       continue;
     }
-    c_aoff[nv] = p.aoff[d];
-    c_shift[nv] = p.shift[d];
-    c_ilo[nv] = p.ilo[d];
-    c_ihi[nv] = p.ihi[d];
-    lo = std::max(lo, p.ilo[d]);
-    hi = std::min(hi, p.ihi[d]);
+    c_aoff[nv] = p.aoff[v];
+    c_shift[nv] = p.shift[v];
+    c_ilo[nv] = p.ilo[v];
+    c_ihi[nv] = p.ihi[v];
+    lo = std::max(lo, p.ilo[v]);
+    hi = std::min(hi, p.ihi[v]);
     ++nv;
   }
   hi = std::max(hi, lo);
@@ -274,8 +287,11 @@ inline F16LineDesc f16_line_desc(const F16LineProto& p, const Stencil& st,
 /// needed for memory safety; 16-byte matrix loads past a run are covered by
 /// kSimdSlack.  am/xb/bb/q2b are the line-base pointers (vals + abase,
 /// x + base, ...); yl is the nx-long output run — y + base for the in-place
-/// kernels, or a private line buffer for the fused downstroke.
-template <bool kResidual, bool kScaled>
+/// kernels, or a private line buffer for the fused downstroke.  kScaled
+/// recovers each x as x * q2 of its own cell and kRowScale scales the sum
+/// by the row's q2; SpMV does both, the Gauss-Seidel pre-pass (which keeps
+/// the row scaling for its recurrence) only the first.
+template <bool kResidual, bool kScaled, bool kRowScale = kScaled>
 inline void f16_run_line(const half* SMG_RESTRICT am,
                          const float* SMG_RESTRICT xb,
                          const float* SMG_RESTRICT bb,
@@ -299,7 +315,7 @@ inline void f16_run_line(const half* SMG_RESTRICT am,
         }
         acc = _mm256_fmadd_ps(av, xv, acc);
       }
-      if constexpr (kScaled) {
+      if constexpr (kRowScale) {
         acc = _mm256_mul_ps(acc, _mm256_loadu_ps(q2b + i));
       }
       if constexpr (kResidual) {
@@ -326,7 +342,7 @@ inline void f16_run_line(const half* SMG_RESTRICT am,
       }
       acc = _mm256_fmadd_ps(av, xv, acc);
     }
-    if constexpr (kScaled) {
+    if constexpr (kRowScale) {
       acc = _mm256_mul_ps(acc, _mm256_maskload_ps(q2b + i, ms));
     }
     if constexpr (kResidual) {
@@ -347,7 +363,6 @@ void apply_soa_f16_blocked(const StructMat<half>& A,
                            const float* SMG_RESTRICT b, float* SMG_RESTRICT y,
                            const float* SMG_RESTRICT q2) {
   const Box& box = A.box();
-  const Stencil& st = A.stencil();
   const half* SMG_RESTRICT vals = A.data();
   const F16LineProto proto(A);
 
@@ -361,7 +376,7 @@ void apply_soa_f16_blocked(const StructMat<half>& A,
       int c_ilo[32];
       int c_ihi[32];
       const F16LineDesc d =
-          f16_line_desc(proto, st, box, j, k, c_aoff, c_shift, c_ilo, c_ihi);
+          f16_line_desc(proto, j, k, c_aoff, c_shift, c_ilo, c_ihi);
       f16_run_line<kResidual, kScaled>(
           vals + proto.abase(base, line), x + base,
           b != nullptr ? b + base : nullptr,
@@ -372,25 +387,34 @@ void apply_soa_f16_blocked(const StructMat<half>& A,
 
 #endif  // SMG_SIMD_AVX2
 
+/// Widen a run of n stored entries into `dst` (exact conversion, the value
+/// widen1 gives entry by entry); returns `src` itself when the types match.
+template <class CT, class ST>
+inline const CT* widen_into(const ST* src, std::size_t n, CT* dst) {
+  if constexpr (std::is_same_v<ST, CT>) {
+    return src;
+  } else {
+    if constexpr (is_storage_only_v<ST> && std::is_same_v<CT, float>) {
+      widen(src, dst, n);
+    } else {
+      for (std::size_t q = 0; q < n; ++q) {
+        dst[q] = widen1<CT>(src[q]);
+      }
+    }
+    return dst;
+  }
+}
+
 /// Expose a (line, diagonal) coefficient run in compute precision: identity
 /// when storage == compute, otherwise a SIMD widen into `buf`.
 template <class CT, class ST>
 inline const CT* widen_run(const ST* src, std::size_t n, avec<CT>& buf) {
-  if constexpr (std::is_same_v<ST, CT>) {
-    return src;
-  } else {
+  if constexpr (!std::is_same_v<ST, CT>) {
     if (buf.size() < n) {
       buf.resize(n);
     }
-    if constexpr (is_storage_only_v<ST> && std::is_same_v<CT, float>) {
-      widen(src, buf.data(), n);
-    } else {
-      for (std::size_t q = 0; q < n; ++q) {
-        buf[q] = widen1<CT>(src[q]);
-      }
-    }
-    return buf.data();
   }
+  return widen_into<CT>(src, n, buf.data());
 }
 
 /// Block (bs > 1) SOA-family kernel: per (line, diagonal) the r x r block
@@ -1198,7 +1222,7 @@ void panel_lines(const PanelLineCtx<ST, CT>& ctx, const StructMat<ST>& A,
       std::int64_t c_shift[32];
       int c_ilo[32];
       int c_ihi[32];
-      const F16LineDesc d = f16_line_desc(ctx.proto, st, box, j, k, c_aoff,
+      const F16LineDesc d = f16_line_desc(ctx.proto, j, k, c_aoff,
                                           c_shift, c_ilo, c_ihi);
       const half* am = vals + ctx.proto.abase(base, line);
       const float* fb = kResidual ? f + base * kp : nullptr;

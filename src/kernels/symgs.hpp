@@ -11,20 +11,44 @@
 // one same-line upper offset (+1,0,0); all other offsets reference previous
 // or later grid lines whose values are fixed for the duration of the current
 // line.  Their contributions are therefore computed in a vectorized pre-pass
-// (8 FP16 entries per vcvtph2ps), leaving a one-term scalar recurrence.
-// The AOS path is the straightforward scalar sweep paying one convert per
-// entry (the "(naive)" variant).
+// (8 FP16 entries per vcvtph2ps; for (half, float) SpMV's register-blocked
+// f16_run_line with the center and recurrence diagonals dropped), leaving a
+// one-term scalar recurrence.  Scaled levels recover each neighbor as
+// q2 * u on the fly in the scalar line sweep; the block sweep keeps a
+// uq = q2 .* u buffer up to date instead.  The AOS path is the
+// straightforward scalar sweep paying one convert per entry (the "(naive)"
+// variant).
 //
 // Threading: every sweep accepts an optional WavefrontSchedule.  A valid
-// schedule runs the same per-line (per-cell for AOS) bodies level by level
-// with the items of one level in an `omp for` — each item only ever reads
-// items of strictly earlier (fully updated) or strictly later (untouched)
-// levels, so the parallel sweep is *bitwise identical* to the sequential
-// one at any thread count (see grid/wavefront.hpp for the level function).
-// A null or invalid schedule, or one of the wrong granularity, falls back
-// to the plain sequential sweep.
+// schedule orders the same per-line (per-cell for AOS) bodies level by level
+// — each item only ever reads items of strictly earlier (fully updated) or
+// strictly later (untouched) levels, so any order or thread split within a
+// level is *bitwise identical* to the sequential sweep (see
+// grid/wavefront.hpp for the level function).  A null or invalid schedule,
+// or one of the wrong granularity, means the plain sequential sweep.
+//
+// Interleaved recurrences: because lines of one level never read each
+// other, the scalar (bs == 1) line sweep walks a line schedule at *every*
+// thread count and runs the x-recurrences of kLineGroup same-level lines
+// cell by cell side by side.  Each line's operation sequence is unchanged;
+// only the latency chains (fma -> fma -> mul -> mul) of different lines
+// overlap.  The schedule spreads a level over the OpenMP team only when it
+// is threaded() and more than one thread is available.
+//
+// Zero-guess forward sweep (gs_forward_zero_guess): on u == 0 every
+// later-in-order neighbor still holds zero, so its product is an exact +-0
+// that leaves the accumulator unchanged (an accumulator that starts at +0
+// can never become -0).  The sweep skips those diagonals (and the block
+// sweep's uq = q2 .* u pre-pass: every uq it reads is written earlier in the
+// same sweep), never reads u, and equals set_zero(u) followed by gs_forward
+// bitwise — provided every stored value is finite, since Inf * 0 = NaN
+// would otherwise vanish.
+// The caller owns that guard (MGPrecond::cycle checks the level's
+// truncation report).
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -34,6 +58,10 @@
 #include "sgdia/struct_matrix.hpp"
 #include "util/aligned.hpp"
 #include "util/common.hpp"
+
+#if defined(_OPENMP)
+#include <omp.h>
+#endif
 
 namespace smg {
 
@@ -57,6 +85,26 @@ inline bool wf_usable(const WavefrontSchedule* wf,
   return wf != nullptr && wf->valid() && wf->granularity() == gran;
 }
 
+/// True if a sweep should spread the levels of `wf` over the OpenMP team.
+inline bool wf_threaded(const WavefrontSchedule& wf) noexcept {
+#if defined(_OPENMP)
+  return wf.threaded() && omp_get_max_threads() > 1;
+#else
+  (void)wf;
+  return false;
+#endif
+}
+
+/// Grow a thread workspace buffer to at least n entries (never shrinks, so
+/// alternating level sizes do not re-initialize it on every call).
+template <class T>
+inline T* workspace(avec<T>& buf, std::size_t n) {
+  if (buf.size() < n) {
+    buf.resize(n);
+  }
+  return buf.data();
+}
+
 /// Run `body(item)` over every scheduled item, level by level (reversed for
 /// the backward sweep); items of one level run in parallel.  One parallel
 /// region covers the whole sweep — the per-level `omp for` barrier is the
@@ -76,11 +124,12 @@ inline void run_wavefront(const WavefrontSchedule& wf, const Body& body) {
 }
 
 /// Run `body(j, k)` over all grid lines: wavefront-parallel when a usable
-/// line-granularity schedule is supplied, sequential sweep order otherwise.
+/// line-granularity schedule is supplied and threaded, sequential sweep
+/// order otherwise (one line at a time gains nothing from the level order).
 template <bool kForward, class Body>
 inline void run_lines(const Box& box, const WavefrontSchedule* wf,
                       const Body& body) {
-  if (wf_usable(wf, WfGranularity::Line)) {
+  if (wf_usable(wf, WfGranularity::Line) && wf_threaded(*wf)) {
     run_wavefront<kForward>(*wf, [&](std::int32_t line) {
       body(static_cast<int>(line % box.ny), static_cast<int>(line / box.ny));
     });
@@ -96,10 +145,131 @@ inline void run_lines(const Box& box, const WavefrontSchedule* wf,
   }
 }
 
+/// Same-level lines whose recurrences the scalar line sweep interleaves.
+inline constexpr int kLineGroup = 4;
+
+/// Line-schedule driver of the scalar line sweep: level by level (reversed
+/// for the backward sweep), each thread takes a contiguous share of the
+/// level's lines and hands it to `group(lines, n)` in runs of at most
+/// kLineGroup.  Sharing lines out before grouping them keeps every thread
+/// busy on narrow levels.
+template <bool kForward, class Group>
+inline void run_line_groups(const WavefrontSchedule& wf, const Group& group) {
+  const int nlev = wf.nlevels();
+#pragma omp parallel if (wf_threaded(wf))
+  {
+    std::int64_t tid = 0;
+    std::int64_t nt = 1;
+#if defined(_OPENMP)
+    tid = omp_get_thread_num();
+    nt = omp_get_num_threads();
+#endif
+    for (int s = 0; s < nlev; ++s) {
+      const auto lv = wf.level(kForward ? s : nlev - 1 - s);
+      const std::int64_t n = static_cast<std::int64_t>(lv.size());
+      const std::int64_t hi = n * (tid + 1) / nt;
+      for (std::int64_t t = n * tid / nt; t < hi; t += kLineGroup) {
+        group(lv.data() + t,
+              static_cast<int>(std::min<std::int64_t>(kLineGroup, hi - t)));
+      }
+#pragma omp barrier
+    }
+  }
+}
+
+/// Drop mask (bit d = leave diagonal d out) of a line sweep's vectorized
+/// pre-pass: the center (the smoother applies the inverse diagonal), the
+/// in-line recurrence diagonal, and for a zero-guess sweep every diagonal
+/// that points later in sweep order.
+template <bool kZeroGuess>
+inline std::uint32_t prepass_drop(const Stencil& st, int recur_d) noexcept {
+  std::uint32_t drop = 0;
+  for (int d = 0; d < st.ndiag(); ++d) {
+    if (d == st.center() || d == recur_d ||
+        (kZeroGuess && !st.offset(d).before_center())) {
+      drop |= std::uint32_t{1} << d;
+    }
+  }
+  return drop;
+}
+
+/// One line's operands for the scalar recurrence, each offset to the line's
+/// first cell.
+template <class CT>
+struct GsLine {
+  const CT* acc;  ///< pre-pass sums of the non-recurrence neighbors
+  const CT* rec;  ///< recurrence-diagonal run in CT; null if none
+  const CT* f;
+  const CT* inv;
+  const CT* q2;  ///< null when unscaled
+  CT* u;
+};
+
+/// The per-cell recurrences of G lines of one wavefront level, interleaved
+/// cell by cell so their latency chains overlap.  Every line performs the
+/// single-line sequence exactly: s = acc + a_rec * uprev, rhs = f - (q2 *) s,
+/// u = invdiag * rhs, where uprev is the previous cell's u (q2 * u when
+/// scaled), carried in a register.
+template <int G, bool kForward, bool kScaled, class CT>
+inline void gs_recur_lines(const GsLine<CT>* ln, int nx) {
+  if (nx <= 0) {
+    return;
+  }
+  const auto finish = [](const GsLine<CT>& L, int i, CT s) {
+    CT rhs = L.f[i];
+    if constexpr (kScaled) {
+      rhs = mul_add(-L.q2[i], s, rhs);
+    } else {
+      rhs -= s;
+    }
+    const CT unew = L.inv[i] * rhs;
+    L.u[i] = unew;
+    if constexpr (kScaled) {
+      return L.q2[i] * unew;
+    } else {
+      return unew;
+    }
+  };
+  const int istep = kForward ? 1 : -1;
+  const int i0 = kForward ? 0 : nx - 1;
+  const bool hasrec = ln[0].rec != nullptr;
+  CT prev[G];
+  for (int g = 0; g < G; ++g) {
+    prev[g] = finish(ln[g], i0, ln[g].acc[i0]);
+  }
+  for (int i = i0 + istep; i >= 0 && i < nx; i += istep) {
+    for (int g = 0; g < G; ++g) {
+      CT s = ln[g].acc[i];
+      if (hasrec) {
+        s = mul_add(ln[g].rec[i], prev[g], s);
+      }
+      prev[g] = finish(ln[g], i, s);
+    }
+  }
+}
+
+template <bool kForward, bool kScaled, class CT>
+inline void gs_recur_group(const GsLine<CT>* ln, int ng, int nx) {
+  switch (ng) {
+    case 4:
+      gs_recur_lines<4, kForward, kScaled>(ln, nx);
+      break;
+    case 3:
+      gs_recur_lines<3, kForward, kScaled>(ln, nx);
+      break;
+    case 2:
+      gs_recur_lines<2, kForward, kScaled>(ln, nx);
+      break;
+    default:
+      gs_recur_lines<1, kForward, kScaled>(ln, nx);
+      break;
+  }
+}
+
 /// Scalar Gauss-Seidel sweep over all cells in the given direction.
 /// Works for any layout; the AOS ("naive") path for 2-byte storage.
 /// Parallelized at cell granularity by a Cell wavefront schedule.
-template <bool kForward, class ST, class CT>
+template <bool kForward, bool kZeroGuess, class ST, class CT>
 void gs_sweep_scalar(const StructMat<ST>& A, std::span<const CT> f,
                      std::span<CT> u, std::span<const CT> invdiag,
                      const CT* SMG_RESTRICT q2, const WavefrontSchedule* wf) {
@@ -120,10 +290,10 @@ void gs_sweep_scalar(const StructMat<ST>& A, std::span<const CT> f,
       acc[br] = f[cell * bs + br];
     }
     for (int d = 0; d < nd; ++d) {
-      if (d == center) {
+      const Offset& o = st.offset(d);
+      if (d == center || (kZeroGuess && !o.before_center())) {
         continue;
       }
-      const Offset& o = st.offset(d);
       if (!box.contains(i + o.dx, j + o.dy, k + o.dz)) {
         continue;
       }
@@ -173,100 +343,134 @@ void gs_sweep_scalar(const StructMat<ST>& A, std::span<const CT> f,
   }
 }
 
-/// Line-buffered sweep for SOA scalar (bs == 1) matrices.
-template <bool kForward, class ST, class CT>
+/// Line-buffered sweep for SOA scalar (bs == 1) matrices: per line, a
+/// vectorized pre-pass folds every neighbor except the in-line recurrence
+/// one into an accumulator run (for (half, float) the register-blocked
+/// f16_run_line of SpMV, with the same per-cell fold order), then the
+/// scalar recurrences of up to kLineGroup same-level lines run interleaved.
+template <bool kForward, bool kZeroGuess, class ST, class CT>
 void gs_sweep_soa_lines(const StructMat<ST>& A, std::span<const CT> f,
                         std::span<CT> u, std::span<const CT> invdiag,
                         const CT* SMG_RESTRICT q2,
                         const WavefrontSchedule* wf) {
+  static_assert(kForward || !kZeroGuess, "a zero-guess sweep runs forward");
   const Box& box = A.box();
   const Stencil& st = A.stencil();
   const int nd = st.ndiag();
-  const int center = st.center();
+  const int nx = box.nx;
   const std::int64_t ncells = A.ncells();
   const ST* SMG_RESTRICT vals = A.data();
   const Layout layout = A.layout();
+  SMG_CHECK(nd <= 32, "stencil wider than 3x3x3 is unsupported");
 
   // The single same-line offset participating in the recurrence.
   const int recur_d = kForward ? st.find(-1, 0, 0) : st.find(+1, 0, 0);
-  const int recur_dx = kForward ? -1 : +1;
+  const std::uint32_t drop = prepass_drop<kZeroGuess>(st, recur_d);
 
-  // Scaled recovery: maintain uq = q2 .* u incrementally so the vectorized
-  // pre-pass reads a single vector (one load + fma per entry, same as the
-  // unscaled sweep).  The buffer is owned by the calling thread; worker
-  // threads of a wavefront sweep share it through the captured pointer
-  // (each line only writes its own entries).
-  thread_local avec<CT> uqbuf;
-  const CT* SMG_RESTRICT uread = u.data();
-  CT* SMG_RESTRICT uq = nullptr;
-  if (q2 != nullptr) {
-    const std::size_t n = u.size();
-    uqbuf.resize(n);
-    CT* SMG_RESTRICT uqp = uqbuf.data();
-    const CT* SMG_RESTRICT up = u.data();
-#pragma omp parallel for simd
-    for (std::size_t q = 0; q < n; ++q) {
-      uqp[q] = q2[q] * up[q];
+
+  const auto sweep = [&](const auto& prepass) {
+    const auto group = [&](const std::int32_t* lines, int ng) {
+      thread_local avec<CT> accbuf;
+      thread_local avec<CT> recbuf;
+      const std::size_t need = static_cast<std::size_t>(kLineGroup) * nx;
+      CT* acc = workspace(accbuf, need);
+      CT* rec = workspace(recbuf, need);
+      GsLine<CT> ln[kLineGroup];
+      for (int g = 0; g < ng; ++g) {
+        const int j = lines[g] % box.ny;
+        const int k = lines[g] / box.ny;
+        const std::int64_t base = box.idx(0, j, k);
+        const std::int64_t line = j + static_cast<std::int64_t>(box.ny) * k;
+        CT* SMG_RESTRICT a = acc + static_cast<std::int64_t>(g) * nx;
+        prepass(j, k, base, line, a);
+        ln[g].acc = a;
+        ln[g].rec =
+            recur_d >= 0
+                ? widen_into<CT>(line_diag_ptr(vals, layout, base, line,
+                                               recur_d, nd, ncells, nx),
+                                 static_cast<std::size_t>(nx),
+                                 rec + static_cast<std::int64_t>(g) * nx)
+                : nullptr;
+        ln[g].f = f.data() + base;
+        ln[g].inv = invdiag.data() + base;
+        ln[g].q2 = q2 != nullptr ? q2 + base : nullptr;
+        ln[g].u = u.data() + base;
+      }
+      if (q2 != nullptr) {
+        gs_recur_group<kForward, true>(ln, ng, nx);
+      } else {
+        gs_recur_group<kForward, false>(ln, ng, nx);
+      }
+    };
+    if (wf_usable(wf, WfGranularity::Line)) {
+      run_line_groups<kForward>(*wf, group);
+      return;
     }
-    uq = uqbuf.data();
-    uread = uq;
+    const int k0 = kForward ? 0 : box.nz - 1;
+    const int step = kForward ? 1 : -1;
+    for (int k = k0; k >= 0 && k < box.nz; k += step) {
+      const int j0 = kForward ? 0 : box.ny - 1;
+      for (int j = j0; j >= 0 && j < box.ny; j += step) {
+        const std::int32_t line = j + box.ny * k;
+        group(&line, 1);
+      }
+    }
+  };
+
+#if defined(SMG_SIMD_AVX2)
+  if constexpr (std::is_same_v<ST, half> && std::is_same_v<CT, float>) {
+    const F16LineProto proto(A, drop);
+    sweep([&](int j, int k, std::int64_t base, std::int64_t line,
+              float* SMG_RESTRICT acc) {
+      std::int64_t c_aoff[32];
+      std::int64_t c_shift[32];
+      int c_ilo[32];
+      int c_ihi[32];
+      const F16LineDesc d =
+          f16_line_desc(proto, j, k, c_aoff, c_shift, c_ilo, c_ihi);
+      const half* am = vals + proto.abase(base, line);
+      if (q2 != nullptr) {
+        f16_run_line<false, true, false>(am, u.data() + base, nullptr,
+                                         q2 + base, acc, nx, d);
+      } else {
+        f16_run_line<false, false>(am, u.data() + base, nullptr, nullptr, acc,
+                                   nx, d);
+      }
+    });
+    return;
   }
-
-  const auto line_body = [&](int j, int k) {
-    thread_local avec<CT> accbuf;
-    accbuf.resize(static_cast<std::size_t>(box.nx));
-    CT* SMG_RESTRICT acc = accbuf.data();
-
-    const std::int64_t base = box.idx(0, j, k);
-    const std::int64_t line = j + static_cast<std::int64_t>(box.ny) * k;
-    for (int i = 0; i < box.nx; ++i) {
+#endif
+  int pre[32];
+  int npre = 0;
+  for (int d = 0; d < nd; ++d) {
+    if (((drop >> d) & 1U) == 0) {
+      pre[npre++] = d;
+    }
+  }
+  sweep([&](int j, int k, std::int64_t base, std::int64_t line,
+            CT* SMG_RESTRICT acc) {
+    for (int i = 0; i < nx; ++i) {
       acc[i] = CT{0};
     }
-    // Vectorized pre-pass: every off-line (and the old-value same-line
-    // opposite) contribution, accumulating a[i] * (q2*) u[nbr].
-    for (int d = 0; d < nd; ++d) {
-      if (d == center || d == recur_d) {
-        continue;
-      }
+    for (int t = 0; t < npre; ++t) {
+      const int d = pre[t];
       const DiagRange r = diag_range(box, st.offset(d), j, k);
       if (!r.line_valid || r.ihi <= r.ilo) {
         continue;
       }
       const ST* a =
-          line_diag_ptr(vals, layout, base, line, d, nd, ncells, box.nx);
-      const std::int64_t xoff = base + r.shift;
-      soa_diag_fma<false, false>(a + r.ilo, uread + xoff + r.ilo,
-                                 static_cast<const CT*>(nullptr),
-                                 acc + r.ilo, r.ihi - r.ilo);
-    }
-    // Scalar recurrence along the line.
-    const ST* arec = recur_d >= 0
-                         ? line_diag_ptr(vals, layout, base, line, recur_d,
-                                         nd, ncells, box.nx)
-                         : nullptr;
-    const int i0 = kForward ? 0 : box.nx - 1;
-    const int istep = kForward ? 1 : -1;
-    for (int i = i0; i >= 0 && i < box.nx; i += istep) {
-      CT s = acc[i];
-      const int inbr = i + recur_dx;
-      if (arec != nullptr && inbr >= 0 && inbr < box.nx) {
-        s = mul_add(widen1<CT>(arec[i]), uread[base + inbr], s);
-      }
-      CT rhs = f[base + i];
+          line_diag_ptr(vals, layout, base, line, d, nd, ncells, nx) + r.ilo;
+      const std::int64_t x0 = base + r.shift + r.ilo;
       if (q2 != nullptr) {
-        rhs = mul_add(-q2[base + i], s, rhs);
+        soa_diag_fma<false, true>(a, u.data() + x0, q2 + x0, acc + r.ilo,
+                                  r.ihi - r.ilo);
       } else {
-        rhs -= s;
-      }
-      const CT unew = invdiag[base + i] * rhs;
-      u[base + i] = unew;
-      if (uq != nullptr) {
-        uq[base + i] = q2[base + i] * unew;
+        soa_diag_fma<false, false>(a, u.data() + x0,
+                                   static_cast<const CT*>(nullptr),
+                                   acc + r.ilo, r.ihi - r.ilo);
       }
     }
-  };
-
-  run_lines<kForward>(box, wf, line_body);
+  });
 }
 
 /// Line-buffered sweep for SOA-family block (bs > 1) matrices: per (line,
@@ -274,17 +478,17 @@ void gs_sweep_soa_lines(const StructMat<ST>& A, std::span<const CT> f,
 /// off-line contributions accumulate into a per-line buffer, and only the
 /// one same-line offset stays in the per-cell recurrence — the block
 /// analogue of gs_sweep_soa_lines.
-template <bool kForward, class ST, class CT>
+template <bool kForward, bool kZeroGuess, class ST, class CT>
 void gs_sweep_block_lines(const StructMat<ST>& A, std::span<const CT> f,
                           std::span<CT> u, std::span<const CT> invdiag,
                           const CT* SMG_RESTRICT q2,
                           const WavefrontSchedule* wf) {
+  static_assert(kForward || !kZeroGuess, "a zero-guess sweep runs forward");
   const Box& box = A.box();
   const Stencil& st = A.stencil();
   const int bs = A.block_size();
   const int nd = st.ndiag();
   const int nx = box.nx;
-  const int center = st.center();
   const std::int64_t ncells = A.ncells();
   const std::int64_t block2 = static_cast<std::int64_t>(bs) * bs;
   const ST* SMG_RESTRICT vals = A.data();
@@ -295,26 +499,27 @@ void gs_sweep_block_lines(const StructMat<ST>& A, std::span<const CT> f,
 
   const int recur_d = kForward ? st.find(-1, 0, 0) : st.find(+1, 0, 0);
   const int recur_dx = kForward ? -1 : +1;
+  const std::uint32_t drop = prepass_drop<kZeroGuess>(st, recur_d);
 
   // Scaled recovery: maintain uq = q2 .* u incrementally (updated together
   // with u in the recurrence) so the hot off-line pass reads one vector
-  // instead of paying a load + multiply per matrix entry.  Shared across
-  // wavefront workers exactly like the scalar path's buffer.
+  // instead of paying a load + multiply per matrix entry.  The buffer is
+  // owned by the calling thread; wavefront workers share it through the
+  // pointer (each line only writes its own entries).  A zero-guess sweep
+  // skips the pre-pass: every uq it reads is written earlier in the sweep.
   thread_local avec<CT> uqbuf;
-  const CT* SMG_RESTRICT uread = u.data();
   CT* SMG_RESTRICT uq = nullptr;
   if (q2 != nullptr) {
-    const std::size_t n = u.size();
-    uqbuf.resize(n);
-    CT* SMG_RESTRICT uqp = uqbuf.data();
-    const CT* SMG_RESTRICT up = u.data();
+    uq = workspace(uqbuf, u.size());
+    if constexpr (!kZeroGuess) {
+      const CT* SMG_RESTRICT up = u.data();
 #pragma omp parallel for simd
-    for (std::size_t q = 0; q < n; ++q) {
-      uqp[q] = q2[q] * up[q];
+      for (std::size_t q = 0; q < u.size(); ++q) {
+        uq[q] = q2[q] * up[q];
+      }
     }
-    uq = uqbuf.data();
-    uread = uq;
   }
+  const CT* SMG_RESTRICT uread = uq != nullptr ? uq : u.data();
 
   const auto run_ptr = [&](std::int64_t base, std::int64_t line, int d) {
     return vals + (layout == Layout::SOA
@@ -330,7 +535,7 @@ void gs_sweep_block_lines(const StructMat<ST>& A, std::span<const CT> f,
     thread_local avec<CT> recurbuf;
     accbuf.resize(static_cast<std::size_t>(nx) * bs);
     CT* SMG_RESTRICT acc = accbuf.data();
-    CT s[8];
+    CT s[8] = {};
     CT upd[8];
 
     const std::int64_t base = box.idx(0, j, k);
@@ -340,7 +545,7 @@ void gs_sweep_block_lines(const StructMat<ST>& A, std::span<const CT> f,
     }
     // Off-line (and same-line old-value) contributions.
     for (int d = 0; d < nd; ++d) {
-      if (d == center || d == recur_d) {
+      if (((drop >> d) & 1U) != 0) {
         continue;
       }
       const DiagRange r = diag_range(box, st.offset(d), j, k);
@@ -821,25 +1026,51 @@ void gs_backward_many(const StructMat<ST>& A, const MultiVector<CT>& f,
   }
 }
 
+namespace detail {
+
+/// Layout / block-size dispatch of one single-vector sweep.
+template <bool kForward, bool kZeroGuess, class ST, class CT>
+void gs_sweep(const StructMat<ST>& A, std::span<const CT> f, std::span<CT> u,
+              std::span<const CT> invdiag, const CT* q2,
+              const WavefrontSchedule* wf) {
+  if (A.layout() != Layout::AOS) {
+    if (A.block_size() == 1) {
+      gs_sweep_soa_lines<kForward, kZeroGuess>(A, f, u, invdiag, q2, wf);
+    } else {
+      gs_sweep_block_lines<kForward, kZeroGuess>(A, f, u, invdiag, q2, wf);
+    }
+  } else {
+    gs_sweep_scalar<kForward, kZeroGuess>(A, f, u, invdiag, q2, wf);
+  }
+}
+
+}  // namespace detail
+
 /// One forward Gauss-Seidel sweep: u <- (D + L)^{-1} (f - U u).
 /// For lower-triangular-pattern matrices this *is* SpTRSV.
 /// A usable wavefront schedule (line granularity for SOA/SOAL, cell for AOS)
-/// runs the sweep level-parallel with bitwise-identical results; otherwise
-/// the sweep is sequential.
+/// orders the sweep by levels with bitwise-identical results at any thread
+/// count; otherwise the sweep is sequential.
 template <class ST, class CT>
 void gs_forward(const StructMat<ST>& A, std::span<const CT> f, std::span<CT> u,
                 std::span<const CT> invdiag, const CT* q2 = nullptr,
                 const WavefrontSchedule* wf = nullptr) {
   const obs::KernelSpan span(obs::Kind::SymGS);
-  if (A.layout() != Layout::AOS) {
-    if (A.block_size() == 1) {
-      detail::gs_sweep_soa_lines<true>(A, f, u, invdiag, q2, wf);
-    } else {
-      detail::gs_sweep_block_lines<true>(A, f, u, invdiag, q2, wf);
-    }
-  } else {
-    detail::gs_sweep_scalar<true>(A, f, u, invdiag, q2, wf);
-  }
+  detail::gs_sweep<true, false>(A, f, u, invdiag, q2, wf);
+}
+
+/// The first forward sweep from a zero initial guess: u <- (D + L)^{-1} f.
+/// Skips every later-in-order diagonal and the uq pre-pass, and never reads
+/// u — bitwise equal to set_zero(u) then gs_forward whenever every stored
+/// value of A is finite (the caller's guard; see the header comment).
+template <class ST, class CT>
+void gs_forward_zero_guess(const StructMat<ST>& A, std::span<const CT> f,
+                           std::span<CT> u, std::span<const CT> invdiag,
+                           const CT* q2 = nullptr,
+                           const WavefrontSchedule* wf = nullptr) {
+  obs::KernelSpan span(obs::Kind::SymGS);
+  span.mark_zero_guess();
+  detail::gs_sweep<true, true>(A, f, u, invdiag, q2, wf);
 }
 
 /// One backward Gauss-Seidel sweep: u <- (D + U)^{-1} (f - L u).
@@ -849,15 +1080,7 @@ void gs_backward(const StructMat<ST>& A, std::span<const CT> f,
                  const CT* q2 = nullptr,
                  const WavefrontSchedule* wf = nullptr) {
   const obs::KernelSpan span(obs::Kind::SymGS);
-  if (A.layout() != Layout::AOS) {
-    if (A.block_size() == 1) {
-      detail::gs_sweep_soa_lines<false>(A, f, u, invdiag, q2, wf);
-    } else {
-      detail::gs_sweep_block_lines<false>(A, f, u, invdiag, q2, wf);
-    }
-  } else {
-    detail::gs_sweep_scalar<false>(A, f, u, invdiag, q2, wf);
-  }
+  detail::gs_sweep<false, false>(A, f, u, invdiag, q2, wf);
 }
 
 }  // namespace smg

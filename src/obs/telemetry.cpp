@@ -90,6 +90,24 @@ void Telemetry::record(Kind k, int level, double t0, double t1) noexcept {
   }
 }
 
+void Telemetry::record_zero_guess(int level) noexcept {
+  const int slot = detail::thread_slot();
+  if (!enabled() || slot >= kMaxThreads) {
+    return;
+  }
+  const int li = std::clamp(level, -1, nlevels_ - 1) + 1;
+  ++slabs_[static_cast<std::size_t>(slot)].zero_guess[li];
+}
+
+std::uint64_t Telemetry::zero_guess_sweeps(int level) const noexcept {
+  const int li = std::clamp(level, -1, nlevels_ - 1) + 1;
+  std::uint64_t n = 0;
+  for (const Slab& s : slabs_) {
+    n += s.zero_guess[li];
+  }
+  return n;
+}
+
 void Telemetry::record_apply(double t0, double t1) noexcept {
   apply_seconds_ += t1 - t0;
   ++apply_calls_;
@@ -159,6 +177,9 @@ void Telemetry::reset() noexcept {
       for (auto& st : per_level) {
         st = SpanStat{};
       }
+    }
+    for (std::uint64_t& n : s.zero_guess) {
+      n = 0;
     }
     s.events.clear();
   }

@@ -165,6 +165,13 @@ class Telemetry {
   /// Accumulate a closed span.  `level` is the MG level (-1 outside).
   void record(Kind k, int level, double t0, double t1) noexcept;
 
+  /// Count one recorded SymGS span on MG level `level` as a zero-guess
+  /// sweep (KernelSpan::mark_zero_guess); the report charges those calls at
+  /// the zero-guess byte model.  Recorded only when enabled, like spans.
+  void record_zero_guess(int level) noexcept;
+  /// Zero-guess SymGS sweeps recorded on one MG level, over all threads.
+  std::uint64_t zero_guess_sweeps(int level) const noexcept;
+
   /// Always-on preconditioner-apply accumulator (PrecondBase::apply_seconds
   /// folds onto this; it works at every telemetry level including Off).
   void record_apply(double t0, double t1) noexcept;
@@ -237,6 +244,7 @@ class Telemetry {
   /// sharing and needs no atomics.
   struct alignas(64) Slab {
     SpanStat stats[kMaxLevels + 1][kNumKinds] = {};
+    std::uint64_t zero_guess[kMaxLevels + 1] = {};
     std::vector<TraceEvent> events;
   };
 
@@ -372,7 +380,11 @@ class KernelSpan {
   ~KernelSpan() {
     if (t_ != nullptr) {
       --detail::kernel_depth();
-      t_->record(k_, current_mg_level(), t0_, t_->now());
+      const int lev = current_mg_level();
+      t_->record(k_, lev, t0_, t_->now());
+      if (zero_guess_) {
+        t_->record_zero_guess(lev);
+      }
     } else if (nested_) {
       --detail::kernel_depth();
     }
@@ -380,10 +392,15 @@ class KernelSpan {
   KernelSpan(const KernelSpan&) = delete;
   KernelSpan& operator=(const KernelSpan&) = delete;
 
+  /// Tag this span's call as a zero-guess SymGS sweep (no-op when the span
+  /// records nothing).
+  void mark_zero_guess() noexcept { zero_guess_ = t_ != nullptr; }
+
  private:
   Telemetry* t_ = nullptr;
   Kind k_;
   bool nested_ = false;
+  bool zero_guess_ = false;
   double t0_ = 0.0;
 };
 

@@ -42,6 +42,14 @@ double symgs_sweep_bytes(double nnz, double m, Prec mat, Prec vec,
   return nnz * bm + (4.0 + (scaled ? 1.0 : 0.0)) * m * bv;
 }
 
+double symgs_zero_guess_sweep_bytes(double nnz_lower, double m, Prec mat,
+                                    Prec vec, bool scaled) noexcept {
+  const double bm = static_cast<double>(bytes_of(mat));
+  const double bv = static_cast<double>(bytes_of(vec));
+  // read f + inv_diag, write u (+ read q2 when scaled)
+  return nnz_lower * bm + (3.0 + (scaled ? 1.0 : 0.0)) * m * bv;
+}
+
 double jacobi_sweep_bytes(double nnz, double m, Prec mat, Prec vec,
                           bool scaled) noexcept {
   return symgs_sweep_bytes(nnz, m, mat, vec, scaled);

@@ -46,6 +46,13 @@ double spmv_bytes(double nnz, double m, Prec mat, Prec vec,
 double symgs_sweep_bytes(double nnz, double m, Prec mat, Prec vec,
                          bool scaled) noexcept;
 
+/// The zero-guess forward GS sweep (gs_forward_zero_guess): only the
+/// `nnz_lower` entries of the earlier-in-order off-diagonals are read; f and
+/// inv_diag (plus q2) read; u written, never read.  Like symgs_sweep_bytes
+/// it leaves out the block sweep's uq = q2 .* u workspace.
+double symgs_zero_guess_sweep_bytes(double nnz_lower, double m, Prec mat,
+                                    Prec vec, bool scaled) noexcept;
+
 /// One fused weighted-Jacobi sweep: same streams as a GS sweep.
 double jacobi_sweep_bytes(double nnz, double m, Prec mat, Prec vec,
                           bool scaled) noexcept;

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 #include "core/mg_precond.hpp"
+#include "core/transfer.hpp"
 #include "kernels/blas1.hpp"
+#include "kernels/fused.hpp"
 #include "kernels/spmv.hpp"
+#include "kernels/symgs.hpp"
 #include "problems/problem.hpp"
 
 namespace smg {
@@ -41,6 +45,83 @@ TEST(MGPrecond, VCycleContractsPoissonResidual) {
   auto M = make_mg_precond<double>(h);
   // Multigrid on Poisson: each V-cycle should shave >= ~5x off the residual.
   EXPECT_LT(stationary_reduction(A, *M, 5), 1e-3);
+}
+
+/// One two-level V-cycle spelled out with the public kernels and a plain
+/// set_zero + full forward sweep: the reference MGPrecond<float>::apply
+/// must reproduce bitwise, whichever first sweep it picks.
+avec<float> explicit_two_level_cycle(const MGHierarchy& h,
+                                     const avec<float>& r) {
+  const Level& hl = h.level(0);
+  const std::size_t n = r.size();
+  avec<float> inv(hl.invdiag.size()), q2v(hl.q2.size());
+  for (std::size_t i = 0; i < inv.size(); ++i) {
+    inv[i] = static_cast<float>(hl.invdiag[i]);
+  }
+  for (std::size_t i = 0; i < q2v.size(); ++i) {
+    q2v[i] = static_cast<float>(hl.q2[i]);
+  }
+  const float* q2 = hl.scaled ? q2v.data() : nullptr;
+  const WavefrontSchedule* wf =
+      hl.smoother_wf.valid() ? &hl.smoother_wf : nullptr;
+  const std::size_t nc = static_cast<std::size_t>(hl.to_coarse.coarse.size());
+  avec<float> u(n, 0.0f), fc(nc), uc(nc);
+  hl.A_stored.visit([&](const auto& m) {
+    gs_forward(m, std::span<const float>{r.data(), n},
+               std::span<float>{u.data(), n},
+               std::span<const float>{inv.data(), inv.size()}, q2, wf);
+    residual_restrict(m, std::span<const float>{r.data(), n},
+                      std::span<const float>{u.data(), n}, q2, hl.to_coarse,
+                      std::span<float>{fc.data(), nc});
+  });
+  h.coarse_solver().solve<float>({fc.data(), nc}, {uc.data(), nc});
+  prolong_add<float>(hl.to_coarse, 1, {uc.data(), nc}, {u.data(), n});
+  hl.A_stored.visit([&](const auto& m) {
+    gs_backward(m, std::span<const float>{r.data(), n},
+                std::span<float>{u.data(), n},
+                std::span<const float>{inv.data(), inv.size()}, q2, wf);
+  });
+  return u;
+}
+
+void expect_cycle_matches_explicit(const char* problem, MGConfig cfg,
+                                   bool finite) {
+  auto p = make_problem(problem, Box{12, 11, 10});
+  cfg.max_levels = 2;
+  MGHierarchy h(std::move(p.A), cfg);
+  ASSERT_EQ(h.nlevels(), 2);
+  ASSERT_FALSE(h.finest_wrapped());
+  EXPECT_EQ(h.level(0).stored_finite(), finite);
+  const std::size_t n = p.b.size();
+  avec<float> r(n), e(n, 7.0f);
+  for (std::size_t i = 0; i < n; ++i) {
+    r[i] = static_cast<float>(p.b[i]) * (1.0f + 0.01f * static_cast<float>(i % 7));
+  }
+  MGPrecond<float> mg(&h);
+  for (int apply = 0; apply < 2; ++apply) {  // second apply: stale u/uq
+    mg.apply({r.data(), n}, {e.data(), n});
+    const avec<float> ref = explicit_two_level_cycle(h, r);
+    EXPECT_EQ(0, std::memcmp(ref.data(), e.data(), n * sizeof(float)))
+        << problem << " apply " << apply;
+  }
+  std::size_t nan_count = 0;
+  for (const float v : e) {
+    nan_count += std::isnan(v) ? 1 : 0;
+  }
+  EXPECT_EQ(nan_count > 0, !finite) << problem;
+}
+
+TEST(MGPrecond, ZeroGuessFirstSweepMatchesExplicitCycleBitwise) {
+  // Finite FP16 storage: the cycle takes the zero-guess first sweep.
+  expect_cycle_matches_explicit("rhd", config_d16_setup_scale(), true);
+  expect_cycle_matches_explicit("laplace27", config_d16_setup_scale(), true);
+}
+
+TEST(MGPrecond, NonFiniteLevelTakesFullSweepAndKeepsItsNaNs) {
+  // laplace27e8 unscaled overflows FP16 (Inf in every later diagonal): the
+  // guard must fall back to set_zero + the full sweep, whose Inf * 0 NaNs
+  // the zero-guess sweep would have dropped.
+  expect_cycle_matches_explicit("laplace27e8", config_d16_none(), false);
 }
 
 class PrecisionConfigs

@@ -10,6 +10,7 @@
 #endif
 
 #include "core/transfer.hpp"
+#include "grid/box_decomp.hpp"
 #include "util/aligned.hpp"
 #include "util/rng.hpp"
 
@@ -202,6 +203,137 @@ TEST(Transfer, GatherRestrictionMatchesScatterReference) {
                                          {s.data(), nc});
       for (std::size_t i = 0; i < nc; ++i) {
         EXPECT_NEAR(g[i], s[i], 1e-13) << "i=" << i << " bs=" << bs;
+      }
+    }
+  }
+}
+
+/// Coarsenings over odd/even extents, including semicoarsened dims (an
+/// uncoarsened x, y or z) and the coupling-aware variant.
+std::vector<Coarsening> prolong_cases() {
+  std::vector<Coarsening> cs;
+  for (const Box fine : {Box{9, 8, 7}, Box{10, 11, 6}, Box{7, 7, 7},
+                         Box{12, 5, 9}, Box{4, 9, 10}}) {
+    cs.push_back(Coarsening::make(fine, 5));
+  }
+  cs.push_back(Coarsening::make(Box{11, 10, 9}, 2, {1.0, 0.01, 1.0}, 0.5));
+  cs.push_back(Coarsening::make(Box{11, 10, 9}, 2, {0.01, 1.0, 1.0}, 0.5));
+  return cs;
+}
+
+TEST(Transfer, LineProlongMatchesPointwiseReferenceBitwise) {
+  // The line-streaming kernel folds each fine dof's parents in the
+  // pointwise reference's (a, b, cidx) order with the same weights.
+#if defined(_OPENMP)
+  const int saved = omp_get_max_threads();
+#endif
+  for (const Coarsening& c : prolong_cases()) {
+    for (int bs : {1, 3}) {
+      Rng rng(123);
+      const std::size_t nf = static_cast<std::size_t>(c.fine.size() * bs);
+      const std::size_t nc = static_cast<std::size_t>(c.coarse.size() * bs);
+      avec<float> e(nc), u0(nf);
+      for (auto& v : e) {
+        v = static_cast<float>(rng.uniform(-1.0, 1.0));
+      }
+      for (auto& v : u0) {
+        v = static_cast<float>(rng.uniform(-1.0, 1.0));
+      }
+      avec<float> ref = u0;
+      prolong_add_pointwise<float>(c, bs, {e.data(), nc}, {ref.data(), nf});
+      for (int nt : {1, 4}) {
+#if defined(_OPENMP)
+        omp_set_num_threads(nt);
+#endif
+        avec<float> u = u0;
+        prolong_add<float>(c, bs, {e.data(), nc}, {u.data(), nf});
+        EXPECT_EQ(0, std::memcmp(ref.data(), u.data(), nf * sizeof(float)))
+            << c.fine.nx << "x" << c.fine.ny << "x" << c.fine.nz
+            << " mask=" << c.mask[0] << c.mask[1] << c.mask[2]
+            << " bs=" << bs << " threads=" << nt;
+      }
+    }
+  }
+#if defined(_OPENMP)
+  omp_set_num_threads(saved);
+#endif
+}
+
+/// Fill a sub-box's storage (interior + ghosts) from a global vector.
+avec<double> box_copy(const avec<double>& global, const Box& gbox,
+                      const SubBox& s, int bs) {
+  const Box lb = s.local();
+  avec<double> out(static_cast<std::size_t>(lb.size() * bs));
+  for (int k = 0; k < lb.nz; ++k) {
+    for (int j = 0; j < lb.ny; ++j) {
+      for (int i = 0; i < lb.nx; ++i) {
+        const std::int64_t g = gbox.idx(i + s.off(0), j + s.off(1),
+                                        k + s.off(2));
+        for (int br = 0; br < bs; ++br) {
+          out[static_cast<std::size_t>(lb.idx(i, j, k) * bs + br)] =
+              global[static_cast<std::size_t>(g * bs + br)];
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(Transfer, BoxedProlongMatchesPlainProlongBitwise) {
+  // Per-box prolongation on a 2x2x2 decomposition, reading coarse values
+  // from the matching coarse sub-box (ghosts included) or from the global
+  // coarse vector (agglomeration boundary), must reproduce every interior
+  // fine dof of the whole-level kernel.
+  for (const Box fine : {Box{12, 11, 10}, Box{9, 10, 13}}) {
+    const Coarsening c = Coarsening::make(fine, 5);
+    const BoxDecomp fd = BoxDecomp::make(fine, {2, 2, 2}, 1);
+    const BoxDecomp cd = fd.coarsened(c, 1);
+    ASSERT_EQ(fd.nboxes(), 8);
+    for (int bs : {1, 3}) {
+      Rng rng(321);
+      const std::size_t nf = static_cast<std::size_t>(fine.size() * bs);
+      const std::size_t nc = static_cast<std::size_t>(c.coarse.size() * bs);
+      avec<double> e(nc), u0(nf);
+      for (auto& v : e) {
+        v = rng.uniform(-1.0, 1.0);
+      }
+      for (auto& v : u0) {
+        v = rng.uniform(-1.0, 1.0);
+      }
+      avec<double> ref = u0;
+      prolong_add<double>(c, bs, {e.data(), nc}, {ref.data(), nf});
+      for (bool coarse_global : {false, true}) {
+        for (int b = 0; b < fd.nboxes(); ++b) {
+          const SubBox& fs = fd.box(b);
+          const SubBox& cs = cd.box(b);
+          avec<double> ub = box_copy(u0, fine, fs, bs);
+          const GridView fv{fs.local(), {fs.off(0), fs.off(1), fs.off(2)}};
+          if (coarse_global) {
+            prolong_add_box<double>(c, bs, e.data(), GridView{c.coarse, {}},
+                                    ub.data(), fv, fs.lo, fs.n);
+          } else {
+            const avec<double> eb = box_copy(e, c.coarse, cs, bs);
+            prolong_add_box<double>(
+                c, bs, eb.data(),
+                GridView{cs.local(), {cs.off(0), cs.off(1), cs.off(2)}},
+                ub.data(), fv, fs.lo, fs.n);
+          }
+          for (int k = fs.lo[2]; k < fs.lo[2] + fs.n[2]; ++k) {
+            for (int j = fs.lo[1]; j < fs.lo[1] + fs.n[1]; ++j) {
+              for (int i = fs.lo[0]; i < fs.lo[0] + fs.n[0]; ++i) {
+                for (int br = 0; br < bs; ++br) {
+                  const double got = ub[static_cast<std::size_t>(
+                      fv.idx(i, j, k) * bs + br)];
+                  const double want = ref[static_cast<std::size_t>(
+                      fine.idx(i, j, k) * bs + br)];
+                  ASSERT_EQ(0, std::memcmp(&got, &want, sizeof(double)))
+                      << "box " << b << " (" << i << "," << j << "," << k
+                      << ") bs=" << bs << " global=" << coarse_global;
+                }
+              }
+            }
+          }
+        }
       }
     }
   }

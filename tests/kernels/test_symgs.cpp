@@ -4,11 +4,13 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <type_traits>
 #include <vector>
 
 #include "core/smoother.hpp"
 #include "grid/wavefront.hpp"
+#include "kernels/blas1.hpp"
 #include "kernels/spmv.hpp"
 #include "kernels/symgs.hpp"
 #include "sgdia/struct_matrix.hpp"
@@ -345,6 +347,150 @@ TEST(SymGSWavefront, MismatchedGranularityFallsBackToSequential) {
   gs_forward<double, double>(A, {f.data(), f.size()}, {u2.data(), u2.size()},
                              {invd.data(), invd.size()}, nullptr, &wrong);
   EXPECT_EQ(0, std::memcmp(u1.data(), u2.data(), u1.size() * sizeof(double)));
+}
+
+/// The zero-guess forward sweep must equal set_zero + a full forward sweep
+/// BITWISE — with and without a schedule, at every thread count.  The
+/// zero-guess input u is NaN: the sweep must never read it.
+template <class ST>
+void zero_guess_case(Pattern pat, int bs, Layout layout, bool scaled) {
+  using CT = std::conditional_t<std::is_same_v<ST, double>, double, float>;
+  const Box box{11, 13, 9};  // level widths around kLineGroup, with tails
+  auto Ad = dd_matrix(box, pat, bs, Layout::SOA, 19);
+  auto As = convert<ST>(Ad, layout);
+  const auto invd = compute_invdiag(Ad);
+  avec<CT> invdc(invd.size());
+  for (std::size_t i = 0; i < invd.size(); ++i) {
+    invdc[i] = static_cast<CT>(invd[i]);
+  }
+  const auto f = rand_vec<CT>(Ad.nrows(), 37);
+  avec<CT> q2v;
+  const CT* q2 = nullptr;
+  if (scaled) {
+    Rng rng(43);
+    q2v.resize(f.size());
+    for (auto& v : q2v) {
+      v = static_cast<CT>(rng.uniform(0.5, 1.5));
+    }
+    q2 = q2v.data();
+  }
+  const WavefrontSchedule wf =
+      layout == Layout::AOS ? WavefrontSchedule::cells(box, As.stencil())
+                            : WavefrontSchedule::lines(box, As.stencil());
+  ASSERT_TRUE(wf.valid());
+#if defined(_OPENMP)
+  const int saved_threads = omp_get_max_threads();
+#endif
+  for (int nt : {1, 2, 4}) {
+#if defined(_OPENMP)
+    omp_set_num_threads(nt);
+#endif
+    for (const WavefrontSchedule* sched : {static_cast<const WavefrontSchedule*>(nullptr), &wf}) {
+      avec<CT> ref(f.size(), CT{0.25});
+      set_zero(std::span<CT>{ref.data(), ref.size()});
+      gs_forward<ST, CT>(As, {f.data(), f.size()}, {ref.data(), ref.size()},
+                         {invdc.data(), invdc.size()}, q2, sched);
+      avec<CT> zg(f.size(), std::numeric_limits<CT>::quiet_NaN());
+      gs_forward_zero_guess<ST, CT>(As, {f.data(), f.size()},
+                                    {zg.data(), zg.size()},
+                                    {invdc.data(), invdc.size()}, q2, sched);
+      EXPECT_EQ(0, std::memcmp(ref.data(), zg.data(), ref.size() * sizeof(CT)))
+          << to_string(pat) << " bs=" << bs
+          << " layout=" << static_cast<int>(layout) << " scaled=" << scaled
+          << " threads=" << nt << " schedule=" << (sched != nullptr);
+    }
+  }
+#if defined(_OPENMP)
+  omp_set_num_threads(saved_threads);
+#endif
+}
+
+template <class ST>
+void zero_guess_matrix() {
+  for (Pattern pat : {Pattern::P3d7, Pattern::P3d19, Pattern::P3d27}) {
+    for (Layout layout : {Layout::SOA, Layout::SOAL}) {
+      for (bool scaled : {false, true}) {
+        zero_guess_case<ST>(pat, 1, layout, scaled);
+      }
+    }
+  }
+  // The block line path and the AOS cell path take the same shortcut.
+  for (bool scaled : {false, true}) {
+    zero_guess_case<ST>(Pattern::P3d19, 3, Layout::SOAL, scaled);
+    zero_guess_case<ST>(Pattern::P3d27, 1, Layout::AOS, scaled);
+  }
+}
+
+TEST(SymGSZeroGuess, BitwiseEqualsZeroThenFullSweepDouble) {
+  zero_guess_matrix<double>();
+}
+
+TEST(SymGSZeroGuess, BitwiseEqualsZeroThenFullSweepFloat) {
+  zero_guess_matrix<float>();
+}
+
+TEST(SymGSZeroGuess, BitwiseEqualsZeroThenFullSweepHalf) {
+  zero_guess_matrix<half>();
+}
+
+TEST(SymGSZeroGuess, BitwiseEqualsZeroThenFullSweepBfloat16) {
+  zero_guess_matrix<bfloat16>();
+}
+
+TEST(SymGSZeroGuess, InfInLaterDiagonalIsWhyTheGuardExists) {
+  // Inf * 0 = NaN: a full sweep from zero poisons the cell whose later
+  // neighbor coefficient is Inf, which the zero-guess sweep skips.  Callers
+  // must fall back to the full sweep on non-finite storage.
+  const Box box{6, 5, 4};
+  auto Ad = dd_matrix(box, Pattern::P3d7, 1, Layout::SOA, 59);
+  const int up = Ad.stencil().find(0, 1, 0);
+  ASSERT_GE(up, 0);
+  const std::int64_t cell = box.idx(2, 2, 1);
+  Ad.at(cell, up) = std::numeric_limits<double>::infinity();
+  const auto Ah = convert<half>(Ad, Layout::SOAL);
+  auto invd = to_float(compute_invdiag(dd_matrix(box, Pattern::P3d7, 1,
+                                                 Layout::SOA, 59)));
+  const auto f = rand_vec<float>(Ad.nrows(), 61);
+  avec<float> full(f.size(), 0.0f), zg(f.size(), 0.0f);
+  gs_forward<half, float>(Ah, {f.data(), f.size()}, {full.data(), full.size()},
+                          {invd.data(), invd.size()});
+  gs_forward_zero_guess<half, float>(Ah, {f.data(), f.size()},
+                                     {zg.data(), zg.size()},
+                                     {invd.data(), invd.size()});
+  EXPECT_TRUE(std::isnan(full[static_cast<std::size_t>(cell)]));
+  EXPECT_FALSE(std::isnan(zg[static_cast<std::size_t>(cell)]));
+}
+
+TEST(SymGSWavefront, LinePlanDoesNotDependOnThreadCount) {
+  // A cached hierarchy is reused at any later thread count, so the line
+  // plan may not bake in the count it was built at: Auto always plans the
+  // schedule (the 1-thread sweep interleaves same-level lines) and only
+  // marks levels too narrow for the team as not threaded.
+#if defined(_OPENMP)
+  const int saved_threads = omp_get_max_threads();
+#endif
+  for (int nt : {1, 4}) {
+#if defined(_OPENMP)
+    omp_set_num_threads(nt);
+#endif
+    const Stencil st = Stencil::make(Pattern::P3d27);
+    const auto wide = plan_smoother_wavefront(Box{40, 40, 40}, st,
+                                              Layout::SOAL,
+                                              SmootherParallel::Auto);
+    EXPECT_TRUE(wide.valid() && wide.threaded()) << nt;
+    const auto narrow = plan_smoother_wavefront(Box{5, 5, 5}, st, Layout::SOA,
+                                                SmootherParallel::Auto);
+    EXPECT_TRUE(narrow.valid() && !narrow.threaded()) << nt;
+    const auto forced = plan_smoother_wavefront(
+        Box{5, 5, 5}, st, Layout::SOA, SmootherParallel::Wavefront);
+    EXPECT_TRUE(forced.valid() && forced.threaded()) << nt;
+    EXPECT_FALSE(plan_smoother_wavefront(Box{40, 40, 40}, st, Layout::SOAL,
+                                         SmootherParallel::Sequential)
+                     .valid());
+  }
+#if defined(_OPENMP)
+  omp_set_num_threads(saved_threads);
+#endif
 }
 
 TEST(SymGS, ConvergesToExactSolutionOnSmallSystem) {

@@ -10,7 +10,9 @@
 #include "kernels/blas1.hpp"
 #include "kernels/spmv.hpp"
 #include "obs/counters.hpp"
+#include "obs/report.hpp"
 #include "obs/telemetry.hpp"
+#include "perfmodel/bytes.hpp"
 #include "problems/problem.hpp"
 #include "solvers/cg.hpp"
 #include "util/aligned.hpp"
@@ -170,6 +172,57 @@ TEST(TelemetrySpans, CountsExactPerVCycleApply) {
   t->reset();
   EXPECT_EQ(t->total(obs::Kind::SymGS).calls, 0u);
   EXPECT_EQ(t->apply_calls(), 0u);
+}
+
+TEST(TelemetrySpans, ZeroGuessSweepsAreChargedAtTheirOwnModel) {
+  // One V-cycle per apply: the first sweep of every level visit is a
+  // zero-guess sweep, the backward sweep a full one.  The report's SymGS
+  // model bytes must be zg * zero-guess bytes + (calls - zg) * full bytes.
+  const Problem p = make_problem("laplace27", Box{10, 10, 10});
+  MGConfig cfg = config_d16_setup_scale();
+  cfg.min_coarse_cells = 64;
+  cfg.telemetry = obs::TelemetryLevel::Counters;
+  StructMat<double> A = p.A;
+  MGHierarchy h(std::move(A), cfg);
+  auto M = make_mg_precond<double>(h);
+  obs::Telemetry* t = M->telemetry();
+  ASSERT_NE(t, nullptr);
+  const std::size_t n = p.b.size();
+  avec<double> r(n, 1.0), e(n, 0.0);
+  const std::uint64_t applies = 3;
+  for (std::uint64_t i = 0; i < applies; ++i) {
+    M->apply({r.data(), n}, {e.data(), n});
+  }
+  const obs::SolverReport rep = obs::build_report(*t, h, 0.0);
+  const int last = h.nlevels() - 1;
+  int rows = 0;
+  for (const obs::KernelRow& row : rep.kernels) {
+    if (row.kind != obs::Kind::SymGS || row.level < 0) {
+      continue;
+    }
+    ++rows;
+    const int l = row.level;
+    ASSERT_LT(l, last);
+    const Level& L = h.level(l);
+    const std::uint64_t zg = t->zero_guess_sweeps(l);
+    EXPECT_EQ(zg, applies) << "level " << l;
+    EXPECT_EQ(row.calls, 2 * applies);
+    const double m = static_cast<double>(L.A_full.nrows());
+    const double ndiag = L.A_full.stencil().ndiag();
+    const double lower = static_cast<double>(L.A_full.stencil().lower().size());
+    const double cells = static_cast<double>(L.A_full.ncells());
+    const double want =
+        static_cast<double>(zg) *
+            symgs_zero_guess_sweep_bytes(cells * lower, m, L.storage,
+                                         cfg.compute, L.scaled) +
+        static_cast<double>(row.calls - zg) *
+            symgs_sweep_bytes(cells * ndiag, m, L.storage, cfg.compute,
+                              L.scaled);
+    EXPECT_NEAR(row.model_bytes_per_call * static_cast<double>(row.calls),
+                want, 1e-9 * want)
+        << "level " << l;
+  }
+  EXPECT_EQ(rows, last);
 }
 
 TEST(TelemetrySpans, UnfusedPathCountsResidualPlusRestrict) {

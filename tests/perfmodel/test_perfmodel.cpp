@@ -81,6 +81,28 @@ TEST(Bytes, FusedDownstrokeSavesExactlyTheResidualWriteAndRead) {
   EXPECT_DOUBLE_EQ(prolong_bytes(mf, mc, Prec::FP32), 4.0 * (2.0 * mf + mc));
 }
 
+TEST(Bytes, ZeroGuessSweepReadsOnlyLowerDiagonalsAndWritesU) {
+  // Earlier-in-order off-diagonals, f, inv_diag (and q2) read; u written:
+  // no u read and no upper diagonals.
+  const double m = 40.0 * 40.0 * 40.0;
+  const double lower = m * 13.0;  // 3d27: 13 offsets precede the center
+  EXPECT_DOUBLE_EQ(
+      symgs_zero_guess_sweep_bytes(lower, m, Prec::FP16, Prec::FP32, false),
+      2.0 * lower + 4.0 * 3.0 * m);
+  EXPECT_DOUBLE_EQ(
+      symgs_zero_guess_sweep_bytes(lower, m, Prec::FP16, Prec::FP32, true),
+      2.0 * lower + 4.0 * 4.0 * m);
+  EXPECT_DOUBLE_EQ(
+      symgs_zero_guess_sweep_bytes(lower, m, Prec::FP64, Prec::FP64, false),
+      8.0 * lower + 8.0 * 3.0 * m);
+  // Always below the full sweep over all 27 diagonals.
+  for (bool scaled : {false, true}) {
+    EXPECT_LT(
+        symgs_zero_guess_sweep_bytes(lower, m, Prec::FP16, Prec::FP32, scaled),
+        symgs_sweep_bytes(27.0 * m, m, Prec::FP16, Prec::FP32, scaled));
+  }
+}
+
 TEST(Bytes, ManyRhsModelsReduceToSingleAtKOne) {
   // Satellite contract: every *_many model at k = 1 is EXACTLY (bitwise)
   // its single-RHS counterpart — the panel path may not re-derive the
