@@ -57,11 +57,8 @@ struct E2EResult {
 
 /// Full workflow: hierarchy setup + preconditioned Krylov solve, timed by
 /// phase exactly as Fig. 8/9 splits them (setup / MG preconditioner / other).
-/// `deterministic` switches the Krylov dot/nrm2 to the fixed-blocking
-/// pairwise reduction, making histories bitwise reproducible at any OpenMP
-/// thread count (SolveOptions::deterministic_reductions).
 inline E2EResult run_e2e(const Problem& p, MGConfig cfg, int max_iters = 400,
-                         double rtol = 1e-9, bool deterministic = false) {
+                         double rtol = 1e-9) {
   E2EResult out;
   StructMat<double> A = p.A;
 
@@ -79,7 +76,6 @@ inline E2EResult run_e2e(const Problem& p, MGConfig cfg, int max_iters = 400,
   SolveOptions opts;
   opts.max_iters = max_iters;
   opts.rtol = rtol;
-  opts.deterministic_reductions = deterministic;
 
   if (p.solver == "cg") {
     out.solve = pcg<double>(op, {p.b.data(), n}, {x.data(), n}, *M, opts);

@@ -100,7 +100,6 @@ avec<double> discrete_solution(const Problem& p) {
   SolveOptions opts;
   opts.rtol = 1e-12;
   opts.max_iters = 500;
-  opts.deterministic_reductions = true;
   (void)pcg<double>(op, {p.b.data(), n}, {uh.data(), n}, *M, opts);
   return uh;
 }

@@ -36,7 +36,7 @@ struct LadderRun {
 };
 
 /// run_e2e plus the solution vector (for the bitwise identity check) and
-/// the stored-bytes ledger.  Deterministic reductions keep the iteration
+/// the stored-bytes ledger.  The fixed-order reductions keep the iteration
 /// history bit-reproducible at any thread count.
 LadderRun run_ladder(const Problem& p, MGConfig cfg) {
   cfg.min_coarse_cells = 64;
@@ -57,7 +57,6 @@ LadderRun run_ladder(const Problem& p, MGConfig cfg) {
   SolveOptions opts;
   opts.max_iters = 400;
   opts.rtol = 1e-9;
-  opts.deterministic_reductions = true;
   if (p.solver == "cg") {
     out.e2e.solve =
         pcg<double>(op, {p.b.data(), n}, {out.x.data(), n}, *M, opts);

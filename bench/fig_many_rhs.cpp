@@ -179,11 +179,6 @@ SMG_BENCH(fig_many_rhs,
     }
     SolveManyOptions mopts;
     mopts.base = sopts;
-    // Throughput mode: the fused panel reductions (deterministic, but not
-    // bitwise equal to single-RHS histories) are the intended configuration
-    // when solves/sec is the goal; the bitwise-mirroring default pays
-    // per-iteration panel transposes and is exercised by section (d).
-    mopts.fast_reductions = true;
     // Pin the batch width: an ambient SMG_RHS_BATCH would silently chunk
     // the measured panel and fail the gate on a sub-SIMD-width batch.
     mopts.rhs_batch = k;
@@ -250,10 +245,6 @@ SMG_BENCH(fig_many_rhs,
   SolveOptions iopts;
   iopts.max_iters = 60;
   iopts.rtol = 1e-9;
-  // Bitwise identity needs thread-count-invariant reductions: the plain
-  // dot() combines per-thread partials in scheduler order, so two ulp-equal
-  // solves can diverge in the last bit under OpenMP.
-  iopts.deterministic_reductions = true;
   avec<double> x1(n, 0.0);
   const SolveResult single_res =
       pcg<double>(op, {p.b.data(), n}, {x1.data(), n}, *M, iopts);

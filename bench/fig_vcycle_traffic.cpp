@@ -198,12 +198,12 @@ SMG_BENCH(fig_vcycle_traffic,
 
   // --- (c) convergence histories must be identical ------------------------
   // The preconditioner is bitwise identical fused-vs-unfused at any thread
-  // count (tests/core/test_mg_precond.cpp), and with deterministic
-  // reductions the Krylov dot products are too (fixed-blocking pairwise
-  // combination, kernels/blas1.hpp dot_deterministic) — so the bitwise
-  // history comparison runs fully multi-threaded, no 1-thread fallback.
+  // count (tests/core/test_mg_precond.cpp), and so are the Krylov dot
+  // products (fixed-order blocked reduction, kernels/blas1.hpp dot) — so
+  // the bitwise history comparison runs fully multi-threaded, no 1-thread
+  // fallback.
   std::printf("\nfused-vs-unfused solver check (bitwise-identical histories, "
-              "deterministic reductions, %d thread(s)):\n", threads.back());
+              "%d thread(s)):\n", threads.back());
   Table ct({"problem", "iters off", "iters on", "identical"});
   bool all_same = true;
   set_threads(threads.back());
@@ -214,8 +214,8 @@ SMG_BENCH(fig_vcycle_traffic,
     MGConfig on = off;
     off.fused_transfers = FusedTransfers::Off;
     on.fused_transfers = FusedTransfers::On;
-    const auto ro = bench::run_e2e(p, off, 300, 1e-8, /*deterministic=*/true);
-    const auto rn = bench::run_e2e(p, on, 300, 1e-8, /*deterministic=*/true);
+    const auto ro = bench::run_e2e(p, off, 300, 1e-8);
+    const auto rn = bench::run_e2e(p, on, 300, 1e-8);
     const bool same = ro.solve.iters == rn.solve.iters &&
                       ro.solve.final_relres == rn.solve.final_relres &&
                       ro.solve.history == rn.solve.history;

@@ -77,74 +77,122 @@ void ewise_div(std::span<const T> x, std::span<const T> d,
   }
 }
 
-/// Dot product accumulated in double regardless of T (iterative-precision
-/// safety: FP32 Krylov still needs robust inner products).
-template <class T>
-double dot(std::span<const T> x, std::span<const T> y) noexcept {
-  const obs::KernelSpan span(obs::Kind::Blas1);
-  const std::size_t n = x.size();
-  double acc = 0.0;
-#pragma omp parallel for simd reduction(+ : acc)
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += static_cast<double>(x[i]) * static_cast<double>(y[i]);
+// ---------------------------------------------------------------------------
+// The one reduction.  Inner products accumulate in double regardless of T
+// (iterative-precision safety: FP32 Krylov still needs robust inner
+// products) in a fixed arithmetic order that depends only on n:
+//   * rows split into kDotBlock-row blocks; row i of the block starting at
+//     lo folds into lane (i - lo) mod kDotLanes with detail::mul_add;
+//   * each block folds its lanes with a fixed halving tree
+//     (lane l += lane l + h for h = kDotLanes/2, ..., 1);
+//   * the block partials combine by a sequential pairwise tree.
+// Which thread computed which block never enters the arithmetic, so the
+// result is bitwise identical at every thread count and run to run.
+// dot_many repeats the same order per panel column, so column c of
+// dot_many is bitwise dot() of the extracted column c.
+// ---------------------------------------------------------------------------
+
+namespace detail {
+
+inline constexpr std::size_t kDotBlock = 4096;
+inline constexpr int kDotLanes = 8;
+static_assert(kDotBlock % kDotLanes == 0);
+
+/// Block-partial storage owned by the calling thread.  Callers take the
+/// pointer BEFORE their parallel region: naming a thread_local inside the
+/// region would resolve to each worker's own copy.  Up to kStack doubles
+/// (16.7M rows of dot) live on the stack, so the common case never touches
+/// the heap: with glibc malloc, a small long-lived heap block pins the
+/// freed memory beneath it (+24 MB peak RSS on a 373k-row PCG run).
+/// Larger requests (as from a wide dot_many on long columns) use a
+/// thread_local vector grown on demand and reused, so a steady-state
+/// reduction allocates nothing.
+struct DotPartials {
+  static constexpr std::size_t kStack = 4096;
+  // Every entry a reduction reads it has written first; zeroing 32 KB per
+  // call would cost more than a short dot.
+  double local[kStack];
+
+  double* get(std::size_t n) {
+    if (n <= kStack) {
+      return local;
+    }
+    thread_local std::vector<double> heap;
+    if (heap.size() < n) {
+      heap.resize(n);
+    }
+    return heap.data();
   }
-  return acc;
+};
+
+/// Rows [lo, hi) of x.y folded into kDotLanes lanes, lanes folded by the
+/// fixed halving tree.
+template <class T>
+inline double dot_block(const T* SMG_RESTRICT x, const T* SMG_RESTRICT y,
+                        std::size_t lo, std::size_t hi) noexcept {
+  double lane[kDotLanes] = {};
+  std::size_t i = lo;
+  for (; i + kDotLanes <= hi; i += kDotLanes) {
+    for (int l = 0; l < kDotLanes; ++l) {
+      lane[l] = mul_add(static_cast<double>(x[i + l]),
+                        static_cast<double>(y[i + l]), lane[l]);
+    }
+  }
+  for (int l = 0; i < hi; ++i, ++l) {
+    lane[l] = mul_add(static_cast<double>(x[i]), static_cast<double>(y[i]),
+                      lane[l]);
+  }
+  for (int h = kDotLanes / 2; h >= 1; h /= 2) {
+    for (int l = 0; l < h; ++l) {
+      lane[l] += lane[l + h];
+    }
+  }
+  return lane[0];
 }
 
-/// Deterministic dot product: fixed 4096-element blocks are each summed
-/// with a simd reduction (a fixed order for a given binary), blocks are
-/// combined by a sequential pairwise tree.  The result is independent of
-/// the OpenMP thread count and identical run to run — unlike the plain
-/// `dot`, whose `reduction(+)` combines per-thread partials in
-/// scheduler-dependent order.  Costs one extra pass of block partials
-/// (n/4096 doubles); enable via SolveOptions::deterministic_reductions.
-template <class T>
-double dot_deterministic(std::span<const T> x, std::span<const T> y) {
-  const obs::KernelSpan span(obs::Kind::Blas1);
-  constexpr std::size_t kBlock = 4096;
-  const std::size_t n = x.size();
-  const std::size_t nblocks = (n + kBlock - 1) / kBlock;
-  if (nblocks <= 1) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      acc += static_cast<double>(x[i]) * static_cast<double>(y[i]);
-    }
-    return acc;
-  }
-  // Shared across the parallel region below (must NOT be thread_local: the
-  // worker threads all write into this one vector, indexed by block).
-  std::vector<double> partial(nblocks, 0.0);
-#pragma omp parallel for
-  for (std::size_t b = 0; b < nblocks; ++b) {
-    const std::size_t lo = b * kBlock;
-    const std::size_t hi = std::min(lo + kBlock, n);
-    double acc = 0.0;
-#pragma omp simd reduction(+ : acc)
-    for (std::size_t i = lo; i < hi; ++i) {
-      acc += static_cast<double>(x[i]) * static_cast<double>(y[i]);
-    }
-    partial[b] = acc;
-  }
-  // Sequential pairwise tree over the per-block sums: fixed combination
-  // order regardless of which thread produced which partial.
+/// Sequential pairwise tree over nblocks partials, each a run of w doubles
+/// `stride` apart: p[0:w] ends up holding the fixed-order sum.
+inline void combine_blocks(double* SMG_RESTRICT p, std::size_t nblocks,
+                           std::size_t stride, std::size_t w) noexcept {
   for (std::size_t width = nblocks; width > 1;) {
     const std::size_t half = (width + 1) / 2;
-    for (std::size_t i = 0; i + half < width; ++i) {
-      partial[i] += partial[i + half];
+    for (std::size_t b = 0; b < width - half; ++b) {
+      for (std::size_t c = 0; c < w; ++c) {
+        p[b * stride + c] += p[(b + half) * stride + c];
+      }
     }
     width = half;
   }
+}
+
+}  // namespace detail
+
+/// x . y in the fixed order above.
+template <class T>
+double dot(std::span<const T> x, std::span<const T> y) {
+  const obs::KernelSpan span(obs::Kind::Blas1);
+  constexpr std::size_t kBlock = detail::kDotBlock;
+  const std::size_t n = x.size();
+  const T* SMG_RESTRICT xp = x.data();
+  const T* SMG_RESTRICT yp = y.data();
+  const std::size_t nblocks = (n + kBlock - 1) / kBlock;
+  if (nblocks <= 1) {
+    return detail::dot_block(xp, yp, 0, n);
+  }
+  detail::DotPartials buf;
+  double* SMG_RESTRICT partial = buf.get(nblocks);
+#pragma omp parallel for schedule(static)
+  for (std::size_t b = 0; b < nblocks; ++b) {
+    partial[b] = detail::dot_block(xp, yp, b * kBlock,
+                                   std::min((b + 1) * kBlock, n));
+  }
+  detail::combine_blocks(partial, nblocks, 1, 1);
   return partial[0];
 }
 
 template <class T>
-double nrm2(std::span<const T> x) noexcept {
+double nrm2(std::span<const T> x) {
   return std::sqrt(dot(x, x));
-}
-
-template <class T>
-double nrm2_deterministic(std::span<const T> x) {
-  return std::sqrt(dot_deterministic(x, x));
 }
 
 // ---------------------------------------------------------------------------
@@ -208,66 +256,61 @@ void xpay_cols(const MultiVector<T>& x, std::span<const T> alpha,
 }
 
 /// Fused one-pass panel dot products: out[c] = x[:, c] . y[:, c] for all
-/// real columns.  Blocked like dot_deterministic (4096-row blocks summed
-/// sequentially, combined by a sequential pairwise tree), so the result is
-/// thread-count independent and deterministic — but NOT bitwise equal to
-/// dot()/dot_deterministic() on the extracted column (different block
-/// geometry).  The batched solver uses this only behind
-/// SolveManyOptions::fast_reductions.
+/// real columns, in dot()'s block, lane and tree order per column (the
+/// partials are laid out [block][lane][kp], so the inner loop vectorizes
+/// across columns).  Column c is bitwise dot() on the extracted column c.
 template <class T>
 void dot_many(const MultiVector<T>& x, const MultiVector<T>& y,
               std::span<double> out) {
-  const obs::KernelSpan span(obs::Kind::Blas1);
-  constexpr std::int64_t kBlock = 4096;
-  const std::int64_t rows = x.rows();
+  const auto n = static_cast<std::size_t>(x.rows());
   const int k = x.cols();
-  const int kp = x.padded_cols();
+  const auto kp = static_cast<std::size_t>(x.padded_cols());
   const T* SMG_RESTRICT xp = x.data();
   const T* SMG_RESTRICT yp = y.data();
-  const std::int64_t nblocks = (rows + kBlock - 1) / kBlock;
-  if (nblocks <= 1) {
-    for (int c = 0; c < k; ++c) {
-      double acc = 0.0;
-      for (std::int64_t i = 0; i < rows; ++i) {
-        acc += static_cast<double>(xp[i * kp + c]) *
-               static_cast<double>(yp[i * kp + c]);
-      }
-      out[static_cast<std::size_t>(c)] = acc;
-    }
+  if (kp == 1) {
+    out[0] = dot(std::span<const T>{xp, n}, std::span<const T>{yp, n});
     return;
   }
-  std::vector<double> partial(static_cast<std::size_t>(nblocks) * k, 0.0);
-#pragma omp parallel for schedule(static)
-  for (std::int64_t b = 0; b < nblocks; ++b) {
-    const std::int64_t lo = b * kBlock;
-    const std::int64_t hi = std::min(lo + kBlock, rows);
-    double* SMG_RESTRICT pb = partial.data() + b * k;
-    for (std::int64_t i = lo; i < hi; ++i) {
+  const obs::KernelSpan span(obs::Kind::Blas1);
+  constexpr std::size_t kBlock = detail::kDotBlock;
+  constexpr std::size_t kLanes = detail::kDotLanes;
+  const std::size_t nblocks = std::max<std::size_t>((n + kBlock - 1) / kBlock,
+                                                    1);
+  const std::size_t bw = kLanes * kp;  // one block's partials
+  detail::DotPartials buf;
+  double* SMG_RESTRICT partial = buf.get(nblocks * bw);
+#pragma omp parallel for schedule(static) if (nblocks > 1)
+  for (std::size_t b = 0; b < nblocks; ++b) {
+    double* SMG_RESTRICT pb = partial + b * bw;
+    for (std::size_t j = 0; j < bw; ++j) {
+      pb[j] = 0.0;
+    }
+    const std::size_t lo = b * kBlock;
+    const std::size_t hi = std::min(lo + kBlock, n);
+    for (std::size_t i = lo; i < hi; ++i) {
       const T* SMG_RESTRICT xr = xp + i * kp;
       const T* SMG_RESTRICT yr = yp + i * kp;
+      double* SMG_RESTRICT pl = pb + ((i - lo) % kLanes) * kp;
 #pragma omp simd
-      for (int c = 0; c < k; ++c) {
-        pb[c] += static_cast<double>(xr[c]) * static_cast<double>(yr[c]);
+      for (std::size_t c = 0; c < kp; ++c) {
+        pl[c] = detail::mul_add(static_cast<double>(xr[c]),
+                                static_cast<double>(yr[c]), pl[c]);
+      }
+    }
+    for (std::size_t h = kLanes / 2; h >= 1; h /= 2) {
+      for (std::size_t j = 0; j < h * kp; ++j) {
+        pb[j] += pb[j + h * kp];
       }
     }
   }
-  for (std::int64_t width = nblocks; width > 1;) {
-    const std::int64_t half = (width + 1) / 2;
-    for (std::int64_t i = 0; i + half < width; ++i) {
-      double* SMG_RESTRICT dst = partial.data() + i * k;
-      const double* SMG_RESTRICT src = partial.data() + (i + half) * k;
-      for (int c = 0; c < k; ++c) {
-        dst[c] += src[c];
-      }
-    }
-    width = half;
-  }
+  // Each block's lane-folded sums sit in its lane-0 row.
+  detail::combine_blocks(partial, nblocks, bw, kp);
   for (int c = 0; c < k; ++c) {
     out[static_cast<std::size_t>(c)] = partial[static_cast<std::size_t>(c)];
   }
 }
 
-/// out[c] = ||x[:, c]||_2 via dot_many; same determinism caveat.
+/// out[c] = ||x[:, c]||_2 via dot_many: bitwise nrm2() per column.
 template <class T>
 void nrm2_many(const MultiVector<T>& x, std::span<double> out) {
   dot_many(x, x, out);

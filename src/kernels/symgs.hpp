@@ -625,7 +625,7 @@ void gs_sweep_block_lines(const StructMat<ST>& A, std::span<const CT> f,
 // the single sweep's exact source shapes (it is scalar C++ in the single
 // kernels too, for every storage type).  Mul-accumulate folds whose FP
 // contraction the optimizer would otherwise resolve per vectorization
-// context are pinned on both sides via detail::mul_add (see spmv.hpp), so
+// context are pinned on both sides via detail::mul_add (see util/common.hpp), so
 // differently-shaped surrounding loops cannot break the per-column
 // identity.  Wavefront schedules parallelize the
 // panel sweep through the same run_lines/run_wavefront machinery, so the

@@ -30,14 +30,6 @@ SolveResult pcg(const LinOp<KT>& A, std::span<const KT> b, std::span<KT> x,
     t->note_request(res.request_id);
   }
   const obs::ScopedSpan solve_span(obs::Kind::Solve);
-  const auto vdot = [&opts](std::span<const KT> u, std::span<const KT> v) {
-    return opts.deterministic_reductions ? dot_deterministic<KT>(u, v)
-                                         : dot<KT>(u, v);
-  };
-  const auto vnrm2 = [&opts](std::span<const KT> u) {
-    return opts.deterministic_reductions ? nrm2_deterministic<KT>(u)
-                                         : nrm2<KT>(u);
-  };
 
   const std::size_t n = b.size();
   avec<KT> r(n), z(n), p(n), ap(n);
@@ -50,9 +42,9 @@ SolveResult pcg(const LinOp<KT>& A, std::span<const KT> b, std::span<KT> x,
     r[i] = b[i] - ap[i];
   }
 
-  const double bnorm = vnrm2(b);
+  const double bnorm = nrm2<KT>(b);
   const double target = opts.rtol * (bnorm > 0.0 ? bnorm : 1.0);
-  double rnorm = vnrm2(rs);
+  double rnorm = nrm2<KT>(rs);
   if (opts.record_history) {
     res.history.push_back(rnorm / (bnorm > 0.0 ? bnorm : 1.0));
   }
@@ -61,7 +53,7 @@ SolveResult pcg(const LinOp<KT>& A, std::span<const KT> b, std::span<KT> x,
   for (std::size_t i = 0; i < n; ++i) {
     p[i] = z[i];
   }
-  double rz = vdot(rs, zs);
+  double rz = dot<KT>(rs, zs);
 
   // Self-healing bookkeeping (inert — zero extra work and a bitwise
   // identical iteration stream — unless M can actually repair itself).
@@ -93,7 +85,7 @@ SolveResult pcg(const LinOp<KT>& A, std::span<const KT> b, std::span<KT> x,
     for (std::size_t i = 0; i < n; ++i) {
       r[i] = b[i] - ap[i];
     }
-    rnorm = vnrm2(rs);
+    rnorm = nrm2<KT>(rs);
     if (!std::isfinite(rnorm)) {
       return false;
     }
@@ -101,7 +93,7 @@ SolveResult pcg(const LinOp<KT>& A, std::span<const KT> b, std::span<KT> x,
     for (std::size_t i = 0; i < n; ++i) {
       p[i] = z[i];
     }
-    rz = vdot(rs, zs);
+    rz = dot<KT>(rs, zs);
     stag_ref = rnorm;
     stag_count = 0;
     return std::isfinite(rz);
@@ -126,7 +118,7 @@ SolveResult pcg(const LinOp<KT>& A, std::span<const KT> b, std::span<KT> x,
     }
     const obs::ScopedSpan iter_span(obs::Kind::Iteration);
     A(ps, aps);
-    const double pap = vdot(std::span<const KT>{p.data(), n},
+    const double pap = dot<KT>(std::span<const KT>{p.data(), n},
                             std::span<const KT>{ap.data(), n});
     if (pap == 0.0 || !std::isfinite(pap)) {
       if (!std::isfinite(pap) && recover(HealthEvent::NonFinite)) {
@@ -139,7 +131,7 @@ SolveResult pcg(const LinOp<KT>& A, std::span<const KT> b, std::span<KT> x,
     axpy<KT>(static_cast<KT>(alpha), std::span<const KT>{p.data(), n}, x);
     axpy<KT>(static_cast<KT>(-alpha), std::span<const KT>{ap.data(), n}, rs);
 
-    rnorm = vnrm2(rs);
+    rnorm = nrm2<KT>(rs);
     ++res.iters;
     if (opts.record_history) {
       res.history.push_back(rnorm / (bnorm > 0.0 ? bnorm : 1.0));
@@ -161,7 +153,7 @@ SolveResult pcg(const LinOp<KT>& A, std::span<const KT> b, std::span<KT> x,
     }
 
     M.apply(rs, zs);
-    const double rz_new = vdot(std::span<const KT>{r.data(), n},
+    const double rz_new = dot<KT>(std::span<const KT>{r.data(), n},
                                std::span<const KT>{z.data(), n});
     const double beta = rz_new / rz;
     rz = rz_new;

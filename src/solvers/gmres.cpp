@@ -27,14 +27,6 @@ SolveResult pgmres(const LinOp<KT>& A, std::span<const KT> b, std::span<KT> x,
     t->note_request(res.request_id);
   }
   const obs::ScopedSpan solve_span(obs::Kind::Solve);
-  const auto vdot = [&opts](std::span<const KT> u, std::span<const KT> v) {
-    return opts.deterministic_reductions ? dot_deterministic<KT>(u, v)
-                                         : dot<KT>(u, v);
-  };
-  const auto vnrm2 = [&opts](std::span<const KT> u) {
-    return opts.deterministic_reductions ? nrm2_deterministic<KT>(u)
-                                         : nrm2<KT>(u);
-  };
 
   const std::size_t n = b.size();
   const int m = opts.restart;
@@ -50,7 +42,7 @@ SolveResult pgmres(const LinOp<KT>& A, std::span<const KT> b, std::span<KT> x,
   std::vector<double> sn(static_cast<std::size_t>(m), 0.0);
   std::vector<double> g(static_cast<std::size_t>(m) + 1, 0.0);
 
-  const double bnorm = vnrm2(b);
+  const double bnorm = nrm2<KT>(b);
   const double scale = bnorm > 0.0 ? bnorm : 1.0;
   const double target = opts.rtol * scale;
 
@@ -59,7 +51,7 @@ SolveResult pgmres(const LinOp<KT>& A, std::span<const KT> b, std::span<KT> x,
   for (std::size_t i = 0; i < n; ++i) {
     V[0][i] = b[i] - w[i];
   }
-  double beta = vnrm2(std::span<const KT>{V[0].data(), n});
+  double beta = nrm2<KT>(std::span<const KT>{V[0].data(), n});
   if (opts.record_history) {
     res.history.push_back(beta / scale);
   }
@@ -84,7 +76,7 @@ SolveResult pgmres(const LinOp<KT>& A, std::span<const KT> b, std::span<KT> x,
     for (std::size_t i = 0; i < n; ++i) {
       V[0][i] = b[i] - w[i];
     }
-    beta = vnrm2(std::span<const KT>{V[0].data(), n});
+    beta = nrm2<KT>(std::span<const KT>{V[0].data(), n});
   };
 
   while (res.iters < opts.max_iters) {
@@ -135,7 +127,7 @@ SolveResult pgmres(const LinOp<KT>& A, std::span<const KT> b, std::span<KT> x,
       // Modified Gram-Schmidt.
       for (int i = 0; i <= j; ++i) {
         const double h =
-            vdot(std::span<const KT>{w.data(), n},
+            dot<KT>(std::span<const KT>{w.data(), n},
                  std::span<const KT>{V[static_cast<std::size_t>(i)].data(),
                                      n});
         H[static_cast<std::size_t>(j) * (m + 1) + i] = h;
@@ -143,7 +135,7 @@ SolveResult pgmres(const LinOp<KT>& A, std::span<const KT> b, std::span<KT> x,
                  std::span<const KT>{V[static_cast<std::size_t>(i)].data(), n},
                  std::span<KT>{w.data(), n});
       }
-      const double hlast = vnrm2(std::span<const KT>{w.data(), n});
+      const double hlast = nrm2<KT>(std::span<const KT>{w.data(), n});
       H[static_cast<std::size_t>(j) * (m + 1) + j + 1] = hlast;
       if (!std::isfinite(hlast)) {
         // Column j is poisoned; columns 0..j-1 are still a valid basis

@@ -47,37 +47,6 @@ std::vector<SolveResult> batched_pcg(const LinOpMany<KT>& A,
   }
   const obs::ScopedSpan solve_span(obs::Kind::Solve);
 
-  // Per-column reductions on extracted contiguous columns: the extracted
-  // column holds the same values in the same order as the single solver's
-  // vector, so dot/nrm2 (and their deterministic variants) return bitwise
-  // identical scalars.  All columns are peeled in ONE row-major pass over
-  // the panel — a per-column strided gather fetches a full cache line per
-  // element and would re-stream the whole panel once per column.
-  avec<KT> colsa(n * static_cast<std::size_t>(k)),
-      colsb(n * static_cast<std::size_t>(k));
-  const auto extract_all = [&](const MultiVector<KT>& V, KT* SMG_RESTRICT dst) {
-    const KT* SMG_RESTRICT s = V.data();
-    const std::size_t kpv = static_cast<std::size_t>(V.padded_cols());
-    for (std::size_t r = 0; r < n; ++r) {
-      const KT* SMG_RESTRICT row = s + r * kpv;
-      for (int c = 0; c < k; ++c) {
-        dst[static_cast<std::size_t>(c) * n + r] = row[c];
-      }
-    }
-  };
-  const auto col_nrm2 = [&](const KT* col) {
-    return opts.deterministic_reductions
-               ? nrm2_deterministic<KT>(std::span<const KT>{col, n})
-               : nrm2<KT>(std::span<const KT>{col, n});
-  };
-  const auto col_dot = [&](const KT* cu, const KT* cv) {
-    return opts.deterministic_reductions
-               ? dot_deterministic<KT>(std::span<const KT>{cu, n},
-                                       std::span<const KT>{cv, n})
-               : dot<KT>(std::span<const KT>{cu, n},
-                         std::span<const KT>{cv, n});
-  };
-
   std::vector<unsigned char> active(static_cast<std::size_t>(k), 1);
   const auto any_active = [&] {
     for (int c = 0; c < k; ++c) {
@@ -88,43 +57,25 @@ std::vector<SolveResult> batched_pcg(const LinOpMany<KT>& A,
     return false;
   };
 
+  // Fill `out[c]` for active columns with ||V[c]|| / <U[c],V[c]>: one
+  // panel reduction, bitwise the single solver's per column.
   std::vector<double> redbuf(static_cast<std::size_t>(k));
-  // Fill `out[c]` for active columns with ||V[c]|| / <U[c],V[c]>.  The
-  // fast path runs the fused one-pass panel reduction for all columns at
-  // once; the default path reproduces the single solver bitwise.
-  const auto batch_nrm2 = [&](const MultiVector<KT>& V,
-                              std::vector<double>& out) {
-    if (mopts.fast_reductions) {
-      nrm2_many(V, std::span<double>{redbuf.data(), redbuf.size()});
-    } else {
-      extract_all(V, colsa.data());
-    }
-    for (int c = 0; c < k; ++c) {
-      const auto cc = static_cast<std::size_t>(c);
-      if (active[cc]) {
-        out[cc] = mopts.fast_reductions
-                      ? redbuf[cc]
-                      : col_nrm2(colsa.data() + static_cast<std::size_t>(c) * n);
+  const auto keep_active = [&](std::vector<double>& out) {
+    for (std::size_t c = 0; c < out.size(); ++c) {
+      if (active[c]) {
+        out[c] = redbuf[c];
       }
     }
   };
+  const auto batch_nrm2 = [&](const MultiVector<KT>& V,
+                              std::vector<double>& out) {
+    nrm2_many(V, std::span<double>{redbuf.data(), redbuf.size()});
+    keep_active(out);
+  };
   const auto batch_dot = [&](const MultiVector<KT>& U, const MultiVector<KT>& V,
                              std::vector<double>& out) {
-    if (mopts.fast_reductions) {
-      dot_many(U, V, std::span<double>{redbuf.data(), redbuf.size()});
-    } else {
-      extract_all(U, colsa.data());
-      extract_all(V, colsb.data());
-    }
-    for (int c = 0; c < k; ++c) {
-      const auto cc = static_cast<std::size_t>(c);
-      if (active[cc]) {
-        out[cc] = mopts.fast_reductions
-                      ? redbuf[cc]
-                      : col_dot(colsa.data() + static_cast<std::size_t>(c) * n,
-                                colsb.data() + static_cast<std::size_t>(c) * n);
-      }
-    }
+    dot_many(U, V, std::span<double>{redbuf.data(), redbuf.size()});
+    keep_active(out);
   };
 
   MultiVector<KT> R(rows, k), Z(rows, k), P(rows, k), AP(rows, k);

@@ -11,10 +11,10 @@
 // Per-column semantics are EXACTLY the single-RHS pcg() of solvers/cg.cpp:
 //   * each column carries its own alpha/beta/rnorm recurrence scalars,
 //     convergence target, history, and status;
-//   * reductions are computed per column on the extracted contiguous
-//     column with the same dot/nrm2 (or dot_deterministic/
-//     nrm2_deterministic) the single solver uses, so the arithmetic is
-//     bitwise identical — including under deterministic_reductions;
+//   * reductions run once per panel through dot_many/nrm2_many, whose
+//     column c is bitwise the single solver's dot/nrm2 of that column
+//     (kernels/blas1.hpp: same blocks, lanes and trees), at any thread
+//     count;
 //   * a column that converges (or breaks down) FREEZES: the masked panel
 //     updates (kernels/blas1.hpp axpy_cols/xpay_cols) skip it entirely and
 //     its x never moves again, while the remaining columns keep iterating.
@@ -59,17 +59,12 @@ LinOpMany<KT> make_spmv_many_op(const StructMat<KT>& A) {
 }
 
 struct SolveManyOptions {
-  /// Per-column convergence criteria, iteration budget, reduction mode and
-  /// self-healing knobs — the same meanings as the single-RHS solver.
+  /// Per-column convergence criteria, iteration budget and self-healing
+  /// knobs — the same meanings as the single-RHS solver.
   SolveOptions base;
   /// Columns per sequential batch; <= 0 consults SMG_RHS_BATCH, and when
   /// that is unset/invalid the whole panel solves in one batch.
   int rhs_batch = 0;
-  /// Use the fused one-pass panel reductions (kernels/blas1.hpp dot_many)
-  /// instead of the per-column extracted single-RHS reductions.  Still
-  /// deterministic and thread-count invariant, but NOT bitwise identical
-  /// to single-RHS histories (different reduction block geometry).
-  bool fast_reductions = false;
 };
 
 struct SolveManyResult {

@@ -18,11 +18,6 @@ struct SolveOptions {
   double rtol = 1e-10;       ///< convergence: ||r||_2 / ||b||_2 < rtol
   bool record_history = true;
   int restart = 30;          ///< GMRES restart length m
-  /// Use the fixed-blocking pairwise dot/nrm2 (kernels/blas1.hpp
-  /// dot_deterministic): convergence histories become bitwise identical
-  /// run-to-run and across OpenMP thread counts, at the cost of one extra
-  /// pass over n/4096 block partials per reduction.
-  bool deterministic_reductions = false;
 
   // --- self-healing feedback (PrecisionPolicy::Guarded only) ---
   // All three are inert unless the preconditioner reports self_healing():

@@ -40,9 +40,6 @@ SolveOutcome solve_with(const Problem& p, MGConfig cfg, int max_iters = 400) {
   SolveOptions opts;
   opts.max_iters = max_iters;
   opts.rtol = 1e-8;
-  // Fixed reduction order so two runs of the same numerical configuration
-  // are bit-reproducible (the bitwise assertions below depend on it).
-  opts.deterministic_reductions = true;
   if (p.solver == "cg") {
     out.res = pcg<double>(op_of(p.A), {p.b.data(), n}, {out.x.data(), n}, *M,
                           opts);

@@ -464,6 +464,68 @@ TEST(PanelBlas1, MaskedUpdatesSkipFrozenColumnsEntirely) {
       << "frozen column disturbed by xpay_cols";
 }
 
+/// dot_many column c == dot() of the extracted column c and nrm2_many
+/// column c == nrm2() of it, bitwise, at threads 1..8: the batched solver's
+/// reductions reproduce the single solver's through this identity.
+template <class T>
+void dot_many_matches_single() {
+  // The last count overflows the stack partials at k = 8 (65 blocks x 8
+  // lanes x 8 columns) and runs the heap buffer.
+  const std::int64_t row_counts[] = {
+      3, 4097, 2 * 4096 + 5,
+      static_cast<std::int64_t>(detail::kDotLanes) * 4096 + 13,
+      64 * 4096 + 7};
+  static_assert(65 * detail::kDotLanes * 8 > detail::DotPartials::kStack);
+  for (const std::int64_t n : row_counts) {
+    for (const int k : {1, 2, 3, 8}) {
+      MultiVector<T> X(n, k), Y(n, k);
+      std::vector<avec<T>> xs, ys;
+      for (int c = 0; c < k; ++c) {
+        const auto s = static_cast<std::uint64_t>(c);
+        xs.push_back(rand_vec<T>(n, 301 + s));
+        ys.push_back(rand_vec<T>(n, 401 + s));
+        X.insert_col(c, {xs.back().data(), xs.back().size()});
+        Y.insert_col(c, {ys.back().data(), ys.back().size()});
+      }
+#if defined(_OPENMP)
+      const int saved_threads = omp_get_max_threads();
+#endif
+      for (int nt = 1; nt <= 8; ++nt) {
+#if defined(_OPENMP)
+        omp_set_num_threads(nt);
+#endif
+        std::vector<double> d(static_cast<std::size_t>(k)),
+            r(static_cast<std::size_t>(k));
+        dot_many<T>(X, Y, {d.data(), d.size()});
+        nrm2_many<T>(X, {r.data(), r.size()});
+        for (int c = 0; c < k; ++c) {
+          const auto cc = static_cast<std::size_t>(c);
+          const std::span<const T> xc{xs[cc].data(), xs[cc].size()};
+          const std::span<const T> yc{ys[cc].data(), ys[cc].size()};
+          const double want_d = dot(xc, yc), want_r = nrm2(xc);
+          EXPECT_EQ(0, std::memcmp(&d[cc], &want_d, sizeof(double)))
+              << "dot n=" << n << " k=" << k << " c=" << c
+              << " threads=" << nt;
+          EXPECT_EQ(0, std::memcmp(&r[cc], &want_r, sizeof(double)))
+              << "nrm2 n=" << n << " k=" << k << " c=" << c
+              << " threads=" << nt;
+        }
+      }
+#if defined(_OPENMP)
+      omp_set_num_threads(saved_threads);
+#endif
+    }
+  }
+}
+
+TEST(PanelBlas1, DotManyColumnsBitwiseMatchSingleDouble) {
+  dot_many_matches_single<double>();
+}
+
+TEST(PanelBlas1, DotManyColumnsBitwiseMatchSingleFloat) {
+  dot_many_matches_single<float>();
+}
+
 TEST(PanelBlas1, DotManyAccurateAndThreadCountInvariant) {
   const std::int64_t n = 20000;  // several 4096-row blocks
   const int k = 5;

@@ -1,10 +1,12 @@
 // Telemetry subsystem tests: off-mode bitwise identity, span-counter
 // exactness on a hand-sized hierarchy, precision-event counters,
-// deterministic reductions, and the PhaseTimer nesting guard.
+// the fixed-order reduction, and the PhaseTimer nesting guard.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <vector>
 
 #include "core/mg_precond.hpp"
 #include "kernels/blas1.hpp"
@@ -31,8 +33,7 @@ LinOp<double> op_of(const StructMat<double>& A) {
   };
 }
 
-SolveResult solve_with(const Problem& p, MGConfig cfg,
-                       bool deterministic = true, int max_iters = 120,
+SolveResult solve_with(const Problem& p, MGConfig cfg, int max_iters = 120,
                        double rtol = 1e-8) {
   cfg.min_coarse_cells = 64;
   StructMat<double> A = p.A;  // keep p reusable
@@ -43,7 +44,6 @@ SolveResult solve_with(const Problem& p, MGConfig cfg,
   SolveOptions opts;
   opts.max_iters = max_iters;
   opts.rtol = rtol;
-  opts.deterministic_reductions = deterministic;
   return pcg<double>(op_of(p.A), {p.b.data(), n}, {x.data(), n}, *M, opts);
 }
 
@@ -509,53 +509,106 @@ TEST(PrecisionCounters, ShiftLevidIsReflected) {
   }
 }
 
-// ---- deterministic reductions ---------------------------------------------
+// ---- the fixed-order reduction ------------------------------------------
+
+template <class T>
+avec<T> spread_vec(std::size_t n, std::size_t salt) {
+  // Spread magnitudes and signs so summation order shows in the last bits.
+  avec<T> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t j = i + salt;
+    v[i] = static_cast<T>((static_cast<double>(j % 7) + 1.0) * 1e-3 *
+                          ((j % 2 == 0) ? 1.0 : -1.0) *
+                          (1.0 + static_cast<double>(j % 97)) /
+                          (1.0 + static_cast<double>(j % 31)));
+  }
+  return v;
+}
+
+/// The documented order spelled out serially: kDotBlock-row blocks, row i
+/// of a block into lane (i - lo) mod kDotLanes, a halving tree over the
+/// lanes, a sequential pairwise tree over the blocks.
+template <class T>
+double reference_order_dot(const avec<T>& x, const avec<T>& y) {
+  constexpr std::size_t kB = detail::kDotBlock;
+  constexpr int kL = detail::kDotLanes;
+  const std::size_t n = x.size();
+  std::vector<double> part;
+  for (std::size_t lo = 0; lo < n || part.empty(); lo += kB) {
+    double lane[kL] = {};
+    for (std::size_t i = lo; i < std::min(lo + kB, n); ++i) {
+      double& l = lane[(i - lo) % kL];
+      l = detail::mul_add(static_cast<double>(x[i]),
+                          static_cast<double>(y[i]), l);
+    }
+    for (int h = kL / 2; h >= 1; h /= 2) {
+      for (int l = 0; l < h; ++l) {
+        lane[l] += lane[l + h];
+      }
+    }
+    part.push_back(lane[0]);
+  }
+  for (std::size_t width = part.size(); width > 1;) {
+    const std::size_t half = (width + 1) / 2;
+    for (std::size_t b = 0; b + half < width; ++b) {
+      part[b] += part[b + half];
+    }
+    width = half;
+  }
+  return part[0];
+}
+
+template <class T>
+void dot_thread_invariance() {
+  const std::size_t sizes[] = {
+      0, 3, 4095, 4096, 4097,
+      static_cast<std::size_t>(detail::kDotLanes) * detail::kDotBlock + 5};
+  for (const std::size_t n : sizes) {
+    const avec<T> x = spread_vec<T>(n, 0), y = spread_vec<T>(n, 11);
+    const std::span<const T> xs{x.data(), n}, ys{y.data(), n};
+    const double want = reference_order_dot(x, y);
+#if defined(_OPENMP)
+    const int save = omp_get_max_threads();
+    for (int nt = 1; nt <= 8; ++nt) {
+      omp_set_num_threads(nt);
+      EXPECT_EQ(dot(xs, ys), want) << "n=" << n << " threads=" << nt;
+    }
+    omp_set_num_threads(save);
+#else
+    EXPECT_EQ(dot(xs, ys), want) << "n=" << n;
+#endif
+    EXPECT_EQ(nrm2(xs), std::sqrt(dot(xs, xs))) << "n=" << n;
+    // Accurate, too: agrees with a long-double serial sum to rounding.
+    long double ref = 0.0L;
+    for (std::size_t i = 0; i < n; ++i) {
+      ref += static_cast<long double>(x[i]) * static_cast<long double>(y[i]);
+    }
+    EXPECT_NEAR(want, static_cast<double>(ref),
+                1e-12 * (std::abs(static_cast<double>(ref)) + 1.0));
+  }
+}
 
 TEST(DeterministicDot, InvariantAcrossThreadCounts) {
-  const std::size_t n = 40000;
-  avec<double> x(n), y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    // Spread magnitudes and signs so summation order matters for the plain
-    // OpenMP reduction.
-    x[i] = (static_cast<double>(i % 7) + 1.0) * 1e-3 *
-           ((i % 2 == 0) ? 1.0 : -1.0) * (1.0 + static_cast<double>(i % 97));
-    y[i] = 1.0 / (1.0 + static_cast<double>(i % 31));
-  }
-  const std::span<const double> xs{x.data(), n};
-  const std::span<const double> ys{y.data(), n};
-#if defined(_OPENMP)
-  const int save = omp_get_max_threads();
-  omp_set_num_threads(1);
-  const double d1 = dot_deterministic(xs, ys);
-  omp_set_num_threads(2);
-  const double d2 = dot_deterministic(xs, ys);
-  omp_set_num_threads(4);
-  const double d4 = dot_deterministic(xs, ys);
-  omp_set_num_threads(save);
-  EXPECT_EQ(d1, d2);
-  EXPECT_EQ(d1, d4);
-#else
-  const double d1 = dot_deterministic(xs, ys);
-#endif
-  // Agrees with the plain reduction to rounding.
-  const double ref = dot(xs, ys);
-  EXPECT_NEAR(d1, ref, 1e-9 * (std::abs(ref) + 1.0));
-  EXPECT_EQ(nrm2_deterministic(xs), std::sqrt(dot_deterministic(xs, xs)));
+  dot_thread_invariance<double>();
+}
+
+TEST(DeterministicDot, InvariantAcrossThreadCountsFloat) {
+  dot_thread_invariance<float>();
 }
 
 TEST(DeterministicDot, SmallVectorsAndEmpty) {
   avec<double> x{1.0, 2.0, 3.0};
-  EXPECT_EQ(dot_deterministic<double>({x.data(), 3}, {x.data(), 3}), 14.0);
-  EXPECT_EQ(dot_deterministic<double>({x.data(), 0}, {x.data(), 0}), 0.0);
+  EXPECT_EQ(dot<double>({x.data(), 3}, {x.data(), 3}), 14.0);
+  EXPECT_EQ(dot<double>({x.data(), 0}, {x.data(), 0}), 0.0);
 }
 
 TEST(DeterministicDot, SolverHistoriesReproducible) {
-  // Two runs of the same multi-threaded solve with deterministic reductions
-  // produce bitwise-identical histories.
+  // Two runs of the same multi-threaded solve produce bitwise-identical
+  // histories.
   const Problem p = make_problem("laplace27", Box{12, 12, 10});
   const MGConfig cfg = config_d16_setup_scale();
-  const auto a = solve_with(p, cfg, /*deterministic=*/true);
-  const auto b = solve_with(p, cfg, /*deterministic=*/true);
+  const auto a = solve_with(p, cfg);
+  const auto b = solve_with(p, cfg);
   ASSERT_TRUE(a.converged);
   EXPECT_EQ(a.iters, b.iters);
   EXPECT_EQ(a.final_relres, b.final_relres);

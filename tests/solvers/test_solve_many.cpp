@@ -3,8 +3,7 @@
 // The load-bearing contract: solve_many() with k copies of one RHS
 // reproduces the single-RHS pcg() bitwise in EVERY column — iterate,
 // history, iteration count, status — across matrix layouts, storage
-// precisions, smoother scheduling, and OpenMP thread counts (with
-// deterministic_reductions, across thread counts too).  Plus the
+// precisions, smoother scheduling, and OpenMP thread counts.  Plus the
 // driver-level behaviors: distinct columns match their own single solves,
 // batching/chunking and async change nothing, masks freeze converged
 // columns, and the default PrecondBase::apply_many fallback works for
@@ -145,12 +144,11 @@ TEST(SolveMany, CopiesReproduceSingleHistoryAcrossStorageAndLayout) {
 }
 
 TEST(SolveMany, CopiesReproduceSingleAcrossThreadsAndScheduling) {
-  // deterministic_reductions + wavefront scheduling: the single solver is
+  // Fixed-order reductions + wavefront scheduling: the single solver is
   // thread-count invariant, and the panel must be too — bitwise, at every
   // thread count, k = 5 (a non-power-of-two width exercising padding).
   SolveOptions opts;
   opts.max_iters = 60;
-  opts.deterministic_reductions = true;
   const int saved = omp_get_max_threads();
   for (SmootherParallel sp :
        {SmootherParallel::Sequential, SmootherParallel::Wavefront}) {
@@ -332,36 +330,6 @@ TEST(SolveMany, ZeroColumnConvergesImmediatelyOthersProceed) {
   }
   EXPECT_TRUE(many.columns[1].converged);
   EXPECT_GT(many.columns[1].iters, 0);
-}
-
-TEST(SolveMany, FastReductionsStillConverge) {
-  // dot_many/nrm2_many are not bitwise the single reductions, but the
-  // solves must still converge to the same tolerance in a comparable
-  // iteration count.
-  auto p = make_laplace27(Box{10, 10, 10});
-  const StructMat<double> A = p.A;
-  MGConfig cfg = config_d16_setup_scale();
-  cfg.min_coarse_cells = 64;
-  MGHierarchy h(std::move(p.A), cfg);
-  auto M = make_mg_precond<double>(h);
-  const std::size_t n = p.b.size();
-  const int k = 4;
-
-  MultiVector<double> B(static_cast<std::int64_t>(n), k), X(
-      static_cast<std::int64_t>(n), k);
-  for (int c = 0; c < k; ++c) {
-    B.insert_col(c, std::span<const double>{p.b.data(), n});
-  }
-  SolveManyOptions mopts;
-  mopts.base.max_iters = 60;
-  mopts.fast_reductions = true;
-  const SolveManyResult many =
-      solve_many<double>(make_spmv_many_op<double>(A), B, X, *M, mopts);
-  EXPECT_TRUE(many.all_converged());
-  for (const SolveResult& r : many.columns) {
-    EXPECT_LT(r.final_relres, mopts.base.rtol);
-    EXPECT_LE(r.iters, 25);
-  }
 }
 
 /// Self-healing identity with no panel override: exercises both the
