@@ -355,30 +355,91 @@ void MGPrecond<CT>::fcycle_many() {
   }
 }
 
+namespace {
+
+/// A panel whose padded row is narrower than one AVX2 register has nothing
+/// for the panel kernels to vectorize across; it runs column by column
+/// through the single-vector cycle instead.
+constexpr std::size_t kPanelMinRowBytes = 32;
+
+/// y[i * sy] = x[i * sx] / d[i] (d == nullptr: a plain copy) for i < n: the
+/// Q^{-1/2} entry/exit wrap of apply, strided so that one pass also gathers
+/// a panel column in or scatters it out.
 template <class CT>
-void MGPrecond<CT>::apply_many(const MultiVector<CT>& r, MultiVector<CT>& e) {
+void wrap_pass(const CT* x, std::int64_t sx, const CT* d, CT* y,
+               std::int64_t sy, std::size_t n) {
+  if (sx == 1 && sy == 1) {
+    if (d != nullptr) {
+      ewise_div<CT>({x, n}, {d, n}, {y, n});
+    } else {
+      copy_convert<CT, CT>({x, n}, {y, n});
+    }
+    return;
+  }
+  const auto m = static_cast<std::int64_t>(n);
+#pragma omp parallel for schedule(static)
+  for (std::int64_t i = 0; i < m; ++i) {
+    y[i * sy] = d != nullptr ? x[i * sx] / d[i] : x[i * sx];
+  }
+}
+
+}  // namespace
+
+template <class CT>
+void MGPrecond<CT>::apply_strided(const CT* r, CT* e, std::int64_t stride) {
+  const std::size_t n = lv_.front().f.size();
   if (engine_ != nullptr) {
-    // The decomposed engine is single-vector: peel the panel column-wise
-    // (box parallelism replaces panel amortization when sharding is on).
-    SMG_CHECK(r.rows() == e.rows() && r.cols() == e.cols(),
-              "MG apply_many size mismatch");
-    const std::size_t n = static_cast<std::size_t>(r.rows());
+    if (stride == 1) {
+      engine_->apply({r, n}, {e, n});
+      return;
+    }
     colbuf_f_.resize(n);
     colbuf_u_.resize(n);
+    wrap_pass<CT>(r, stride, nullptr, colbuf_f_.data(), 1, n);
+    engine_->apply({colbuf_f_.data(), n}, {colbuf_u_.data(), n});
+    wrap_pass<CT>(colbuf_u_.data(), 1, nullptr, e, stride, n);
+    return;
+  }
+  LevelData& L0 = lv_.front();
+  // ScaleThenSetup preconditions the *scaled* system:
+  // A^{-1} = Q^{-1/2} Â^{-1} Q^{-1/2}, so divide by q2 on entry and exit.
+  const CT* q2w = h_->finest_wrapped() ? wrap_q2_.data() : nullptr;
+  wrap_pass<CT>(r, stride, q2w, L0.f.data(), 1, n);
+  if (shape_ == CycleShape::F) {
+    fcycle();
+  } else {
+    cycle(0, /*zero_guess=*/true);
+  }
+  wrap_pass<CT>(L0.u.data(), 1, q2w, e, stride, n);
+}
+
+template <class CT>
+void MGPrecond<CT>::apply_many(const MultiVector<CT>& r, MultiVector<CT>& e) {
+  SMG_CHECK(r.rows() == e.rows() && r.cols() == e.cols() &&
+                static_cast<std::size_t>(r.rows()) == lv_.front().f.size(),
+            "MG apply_many size mismatch");
+  const int kp = r.padded_cols();
+  if (engine_ != nullptr ||
+      static_cast<std::size_t>(kp) * sizeof(CT) < kPanelMinRowBytes) {
+    // Column by column through the single-vector path (the decomposed
+    // engine is single-vector too: box parallelism replaces panel
+    // amortization when sharding is on).  A 1-column panel has a plain
+    // vector's layout and runs in place.
     for (int c = 0; c < r.cols(); ++c) {
-      r.extract_col(c, {colbuf_f_.data(), n});
-      engine_->apply({colbuf_f_.data(), n}, {colbuf_u_.data(), n});
-      e.insert_col(c, {colbuf_u_.data(), n});
+      apply_strided(r.data() + c, e.data() + c, kp);
+    }
+    if (e.cols() < kp) {
+#pragma omp parallel for schedule(static)
+      for (std::int64_t row = 0; row < e.rows(); ++row) {
+        for (int c = e.cols(); c < kp; ++c) {
+          e.at(row, c) = CT{0};
+        }
+      }
     }
     return;
   }
   ensure_panels(r.cols());
   PanelData& P0 = pv_.front();
-  SMG_CHECK(r.rows() == P0.f.rows() && e.rows() == P0.u.rows() &&
-                r.cols() == e.cols() &&
-                r.padded_cols() == P0.f.padded_cols(),
-            "MG apply_many size mismatch");
-  const int kp = r.padded_cols();
   const std::int64_t rows = r.rows();
   if (h_->finest_wrapped()) {
     // Same per-element division as the single-vector ewise_div, every
@@ -417,31 +478,10 @@ void MGPrecond<CT>::apply_many(const MultiVector<CT>& r, MultiVector<CT>& e) {
 
 template <class CT>
 void MGPrecond<CT>::apply(std::span<const CT> r, std::span<CT> e) {
-  if (engine_ != nullptr) {
-    engine_->apply(r, e);
-    return;
-  }
-  LevelData& L0 = lv_.front();
-  SMG_CHECK(r.size() == L0.f.size() && e.size() == L0.u.size(),
+  SMG_CHECK(r.size() == lv_.front().f.size() &&
+                e.size() == lv_.front().u.size(),
             "MG apply size mismatch");
-  const std::span<const CT> q2w{wrap_q2_.data(), wrap_q2_.size()};
-  if (h_->finest_wrapped()) {
-    // ScaleThenSetup preconditions the *scaled* system:
-    // A^{-1} = Q^{-1/2} Â^{-1} Q^{-1/2}, so divide by q2 on entry and exit.
-    ewise_div<CT>(r, q2w, {L0.f.data(), L0.f.size()});
-  } else {
-    copy_convert<CT, CT>(r, {L0.f.data(), L0.f.size()});
-  }
-  if (shape_ == CycleShape::F) {
-    fcycle();
-  } else {
-    cycle(0, /*zero_guess=*/true);
-  }
-  if (h_->finest_wrapped()) {
-    ewise_div<CT>({L0.u.data(), L0.u.size()}, q2w, e);
-  } else {
-    copy_convert<CT, CT>({L0.u.data(), L0.u.size()}, e);
-  }
+  apply_strided(r.data(), e.data(), 1);
 }
 
 template <class KT, class CT>

@@ -30,9 +30,11 @@ class MGPrecond {
 
   /// E[c] = MG(R[c]) for every panel column in ONE pass over each level's
   /// stored matrix (throughput mode).  Column c is bitwise identical to a
-  /// single-vector apply of that column; padding columns stay finite zero
-  /// end to end.  Panel level buffers are (re)sized lazily on the first
-  /// call with a new width.
+  /// single-vector apply of that column; E's padding columns are +0.  A
+  /// panel whose padded row is narrower than one 32-byte AVX2 register
+  /// (and every panel under the decomposed engine) runs column by column
+  /// through the single-vector cycle.  Panel level buffers are (re)sized
+  /// lazily on the first panel call with a new width.
   void apply_many(const MultiVector<CT>& r, MultiVector<CT>& e);
 
   /// Re-read level `l`'s q2/invdiag caches from the hierarchy after the
@@ -51,6 +53,9 @@ class MGPrecond {
   void set_cycle_shape(CycleShape s) noexcept;
 
  private:
+  /// apply on vectors whose element i sits at r[i * stride] / e[i * stride]
+  /// (stride 1: plain vectors; stride kp: one panel column).
+  void apply_strided(const CT* r, CT* e, std::int64_t stride);
   void cycle(int lev, bool zero_guess);
   /// One smoothing sweep on level `lev`.  `zero_guess` (forward SymGS
   /// only) runs the zero-guess sweep, which never reads u: the caller has
@@ -85,12 +90,13 @@ class MGPrecond {
   CycleShape shape_ = CycleShape::V;
   std::vector<LevelData> lv_;
   std::vector<PanelData> pv_;  ///< sized by ensure_panels (apply_many only)
-  avec<CT> colbuf_f_, colbuf_u_;  ///< per-column coarse-solve scratch
+  /// Per-column scratch: panel coarse solves, decomposed-engine columns.
+  avec<CT> colbuf_f_, colbuf_u_;
   avec<CT> wrap_q2_;  ///< finest Q^{1/2} when hierarchy.finest_wrapped()
   /// Sharded (box-decomposed) cycle engine; constructed only when the
   /// effective decomposition (MGConfig::decomp / SMG_DECOMP) splits the
-  /// finest level into more than one box.  apply() delegates to it;
-  /// apply_many peels panel columns through it.
+  /// finest level into more than one box.  apply() delegates to it, and
+  /// apply_many runs panel columns through it one by one.
   std::unique_ptr<DecompEngine<CT>> engine_;
 };
 

@@ -309,63 +309,6 @@ void restrict_to_coarse_many(const Coarsening& c, int bs,
   }
 }
 
-/// Panel prolongation: U_f += P E_c for all columns in one pass; column c is
-/// bitwise identical to prolong_add on that column (same parent fold order,
-/// same weights, separate accumulator added once).
-template <class CT>
-void prolong_add_many(const Coarsening& c, int bs, const MultiVector<CT>& ec,
-                      MultiVector<CT>& uf) {
-  const Box& fine = c.fine;
-  const Box& coarse = c.coarse;
-  SMG_CHECK(uf.rows() == fine.size() * bs && ec.rows() == coarse.size() * bs &&
-                uf.padded_cols() == ec.padded_cols(),
-            "prolong_many size mismatch");
-  const obs::KernelSpan span(obs::Kind::Prolong);
-  const int kp = uf.padded_cols();
-  const CT* SMG_RESTRICT ep = ec.data();
-  CT* SMG_RESTRICT up = uf.data();
-  // Hoist the pure per-coordinate parent lookups out of the point loop.
-  std::vector<detail::Parents> pxi(static_cast<std::size_t>(fine.nx));
-  for (int i = 0; i < fine.nx; ++i) {
-    pxi[static_cast<std::size_t>(i)] = detail::parents_of(i, coarse.nx, c.mask[0]);
-  }
-#pragma omp parallel for collapse(2) schedule(static)
-  for (int k = 0; k < fine.nz; ++k) {
-    for (int j = 0; j < fine.ny; ++j) {
-      const auto pk = detail::parents_of(k, coarse.nz, c.mask[2]);
-      const auto pj = detail::parents_of(j, coarse.ny, c.mask[1]);
-      for (int i = 0; i < fine.nx; ++i) {
-        const auto& pi = pxi[static_cast<std::size_t>(i)];
-        const std::int64_t fcell = fine.idx(i, j, k);
-        std::int64_t src[8];
-        CT wv[8];
-        int ns = 0;
-        for (int a = 0; a < pk.count; ++a) {
-          for (int b = 0; b < pj.count; ++b) {
-            for (int cidx = 0; cidx < pi.count; ++cidx) {
-              const double w = pk.w[a] * pj.w[b] * pi.w[cidx];
-              src[ns] = coarse.idx(pi.idx[cidx], pj.idx[b], pk.idx[a]);
-              wv[ns] = static_cast<CT>(w);
-              ++ns;
-            }
-          }
-        }
-        for (int br = 0; br < bs; ++br) {
-          CT* SMG_RESTRICT ur = up + (fcell * bs + br) * kp;
-#pragma omp simd
-          for (int cc = 0; cc < kp; ++cc) {
-            CT acc{0};
-            for (int t = 0; t < ns; ++t) {
-              acc += wv[t] * ep[(src[t] * bs + br) * kp + cc];
-            }
-            ur[cc] += acc;
-          }
-        }
-      }
-    }
-  }
-}
-
 /// A vector's storage box and its global-to-storage coordinate shift
 /// (storage = global - off): a whole level (off = 0) or one sub-box of a
 /// box decomposition with its ghost ring.
@@ -386,8 +329,11 @@ namespace detail {
 /// y/z parent weights) for an even or uncoarsened fine column and h[l] =
 /// w[l] / 2 the weight of each of an odd column's two parents.  Per point
 /// the fold runs line by line, low then high parent: prolong_add_pointwise's
-/// (a, b, cidx) order with the same power-of-two weights, so every fine dof
-/// is bitwise the per-point kernel's.
+/// (a, b, cidx) order with the same power-of-two weights, every fold pinned
+/// through mul_add, so every fine dof is bitwise the per-point kernel's and
+/// the scalar pair path rounds like the block point path.  A point is a run
+/// of bs values sharing its weights, which is also how a panel of kp
+/// interleaved columns runs (block size bs * kp, see prolong_add_many).
 template <int NL, class CT>
 inline void prolong_line(const CT* const* el, const CT* w, const CT* h,
                          int bs, bool cx, int ncx, int coff, int i0, int i1,
@@ -397,25 +343,36 @@ inline void prolong_line(const CT* const* el, const CT* w, const CT* h,
     const int ic = cx ? i >> 1 : i;
     const std::int64_t e = static_cast<std::int64_t>(ic - coff) * bs;
     if (!cx || (i & 1) == 0) {
+#pragma omp simd
       for (int br = 0; br < bs; ++br) {
         CT acc{0};
         for (int l = 0; l < NL; ++l) {
-          acc += w[l] * el[l][e + br];
+          acc = mul_add(w[l], el[l][e + br], acc);
         }
         ur[br] += acc;
       }
       return;
     }
     // Odd column: two parents, or only the low one at the end of an
-    // even-length line.
-    const bool two = ic + 1 < ncx;
+    // even-length line.  Two loops: testing for the second parent inside
+    // the block loop made the panel (bs * kp) form a quarter slower.
+    if (ic + 1 < ncx) {
+#pragma omp simd
+      for (int br = 0; br < bs; ++br) {
+        CT acc{0};
+        for (int l = 0; l < NL; ++l) {
+          acc = mul_add(h[l], el[l][e + br], acc);
+          acc = mul_add(h[l], el[l][e + bs + br], acc);
+        }
+        ur[br] += acc;
+      }
+      return;
+    }
+#pragma omp simd
     for (int br = 0; br < bs; ++br) {
       CT acc{0};
       for (int l = 0; l < NL; ++l) {
-        acc += h[l] * el[l][e + br];
-        if (two) {
-          acc += h[l] * el[l][e + bs + br];
-        }
+        acc = mul_add(h[l], el[l][e + br], acc);
       }
       ur[br] += acc;
     }
@@ -433,9 +390,9 @@ inline void prolong_line(const CT* const* el, const CT* w, const CT* h,
       CT ao{0};
       for (int l = 0; l < NL; ++l) {
         const CT lo = el[l][e];
-        ae += w[l] * lo;
-        ao += h[l] * lo;
-        ao += h[l] * el[l][e + 1];
+        ae = mul_add(w[l], lo, ae);
+        ao = mul_add(h[l], lo, ao);
+        ao = mul_add(h[l], el[l][e + 1], ao);
       }
       ul[i - i0] += ae;
       ul[i + 1 - i0] += ao;
@@ -529,6 +486,19 @@ void prolong_add(const Coarsening& c, int bs, std::span<const CT> ec,
   }
 }
 
+/// Panel prolongation: U_f += P E_c for all columns.  A panel row of a
+/// level with block size bs is a run of bs * kp values that share one
+/// transfer weight, so this is prolong_add on the flat arrays with block
+/// size bs * kp: column c gets exactly prolong_add's folds on that column.
+template <class CT>
+void prolong_add_many(const Coarsening& c, int bs, const MultiVector<CT>& ec,
+                      MultiVector<CT>& uf) {
+  SMG_CHECK(uf.padded_cols() == ec.padded_cols(),
+            "prolong_many size mismatch");
+  prolong_add<CT>(c, bs * uf.padded_cols(), {ec.data(), ec.size()},
+                  {uf.data(), uf.size()});
+}
+
 /// Reference per-point formulation of prolong_add: each fine point looks up
 /// its coarse parents and folds them in (a, b, cidx) order.  Kept as the
 /// ground truth the line-streaming kernel is tested against; not used on
@@ -556,7 +526,8 @@ void prolong_add_pointwise(const Coarsening& c, int bs,
                 const double w = pk.w[a] * pj.w[b] * pi.w[cidx];
                 const std::int64_t ccell =
                     coarse.idx(pi.idx[cidx], pj.idx[b], pk.idx[a]);
-                acc += static_cast<CT>(w) * ec[ccell * bs + br];
+                acc = detail::mul_add(static_cast<CT>(w),
+                                      ec[ccell * bs + br], acc);
               }
             }
           }

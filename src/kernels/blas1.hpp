@@ -16,24 +16,27 @@
 
 namespace smg {
 
+/// y += alpha*x.  The fold is pinned through detail::mul_add, so the panel
+/// form axpy_cols rounds every column the same way in every build.
 template <class T>
 void axpy(T alpha, std::span<const T> x, std::span<T> y) noexcept {
   const obs::KernelSpan span(obs::Kind::Blas1);
   const std::size_t n = y.size();
 #pragma omp parallel for simd
   for (std::size_t i = 0; i < n; ++i) {
-    y[i] += alpha * x[i];
+    y[i] = detail::mul_add(alpha, x[i], y[i]);
   }
 }
 
-/// y = x + alpha*y (the "xpay" update of CG's direction vector).
+/// y = x + alpha*y (the "xpay" update of CG's direction vector), pinned
+/// through detail::mul_add like axpy.
 template <class T>
 void xpay(std::span<const T> x, T alpha, std::span<T> y) noexcept {
   const obs::KernelSpan span(obs::Kind::Blas1);
   const std::size_t n = y.size();
 #pragma omp parallel for simd
   for (std::size_t i = 0; i < n; ++i) {
-    y[i] = x[i] + alpha * y[i];
+    y[i] = detail::mul_add(alpha, y[i], x[i]);
   }
 }
 
@@ -196,63 +199,93 @@ double nrm2(std::span<const T> x) {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-RHS (panel) BLAS-1.  The masked updates touch ONLY the selected
-// columns — frozen (converged / broken) columns of the batched solver must
-// stay bitwise untouched, and even a nominal y += 0 * x could flip a -0 or
-// manufacture a NaN from a non-finite frozen column.  Per active column the
-// update keeps the single-RHS kernel's source shape.
+// Multi-RHS (panel) BLAS-1.  The masked updates leave the unselected
+// columns bitwise untouched — frozen (converged / broken) columns of the
+// batched solver and the padding columns — even where a nominal y += 0 * x
+// would flip a -0 or manufacture a NaN from a non-finite frozen column.
+// They run as one loop over the flattened panel (rows * kp elements) with
+// alpha and the mask tiled across a run of whole rows: every element
+// computes the single kernel's pinned fold and a select keeps the old value
+// where the column is off, so column c is bitwise axpy/xpay of column c.
 // ---------------------------------------------------------------------------
+
+namespace detail {
+
+/// y[j] = f(alpha_c, x[j], y[j]) on the columns c of the flattened panel
+/// that are real and active; every other element keeps its bits.  alpha and
+/// an on/off flag (T{1} / T{0}) are tiled over one run of kRun elements:
+/// kRun / kp whole padded rows when kp <= kRun, else kRun columns of a row,
+/// and then the panel is swept once per group of kRun columns.
+template <class T, class F>
+inline void masked_panel_update(std::span<const T> alpha,
+                                const unsigned char* active, int k, int kp,
+                                const T* SMG_RESTRICT xp, T* SMG_RESTRICT yp,
+                                std::size_t n, F f) noexcept {
+  constexpr int kRun = 16;
+  const int groups = std::max(kp / kRun, 1);
+  const auto step = static_cast<std::size_t>(std::max(kp, kRun));
+  const std::size_t runs = (n + step - 1) / step;
+  for (int g = 0; g < groups; ++g) {
+    T al[kRun];
+    T on[kRun];
+    for (int t = 0; t < kRun; ++t) {
+      const int c = (g * kRun + t) & (kp - 1);
+      const bool live = c < k && (active == nullptr || active[c] != 0);
+      al[t] = live ? alpha[static_cast<std::size_t>(c)] : T{0};
+      on[t] = live ? T{1} : T{0};
+    }
+    const auto first = static_cast<std::size_t>(g * kRun);
+#pragma omp parallel for schedule(static)
+    for (std::size_t r = 0; r < runs; ++r) {
+      const std::size_t lo = r * step + first;
+      const std::size_t m = std::min<std::size_t>(kRun, n - lo);
+      const T* SMG_RESTRICT xr = xp + lo;
+      T* SMG_RESTRICT yr = yp + lo;
+#pragma omp simd
+      for (std::size_t t = 0; t < m; ++t) {
+        const T upd = f(al[t], xr[t], yr[t]);
+        yr[t] = on[t] != T{0} ? upd : yr[t];
+      }
+    }
+  }
+}
+
+}  // namespace detail
 
 /// y[:, c] += alpha[c] * x[:, c] for every column with active[c] != 0.
 template <class T>
 void axpy_cols(std::span<const T> alpha, const MultiVector<T>& x,
                MultiVector<T>& y, const unsigned char* active) noexcept {
-  const obs::KernelSpan span(obs::Kind::Blas1);
-  const std::int64_t rows = y.rows();
-  const int k = y.cols();
   const int kp = y.padded_cols();
-  const T* SMG_RESTRICT xp = x.data();
-  T* SMG_RESTRICT yp = y.data();
-  const T* SMG_RESTRICT al = alpha.data();
-  // Row-major single pass: a per-column pass over the interleaved panel
-  // would fetch one full cache line per touched element and so re-stream
-  // both panels once per column.
-#pragma omp parallel for schedule(static)
-  for (std::int64_t i = 0; i < rows; ++i) {
-    const T* SMG_RESTRICT xr = xp + i * kp;
-    T* SMG_RESTRICT yr = yp + i * kp;
-    for (int c = 0; c < k; ++c) {
-      if (active != nullptr && active[c] == 0) {
-        continue;
-      }
-      yr[c] += al[c] * xr[c];
+  if (kp == 1) {
+    if (active == nullptr || active[0] != 0) {
+      const auto n = static_cast<std::size_t>(y.rows());
+      axpy<T>(alpha[0], {x.data(), n}, {y.data(), n});
     }
+    return;
   }
+  const obs::KernelSpan span(obs::Kind::Blas1);
+  detail::masked_panel_update(
+      alpha, active, y.cols(), kp, x.data(), y.data(), y.size(),
+      [](T a, T xv, T yv) { return detail::mul_add(a, xv, yv); });
 }
 
 /// y[:, c] = x[:, c] + alpha[c] * y[:, c] for every active column.
 template <class T>
 void xpay_cols(const MultiVector<T>& x, std::span<const T> alpha,
                MultiVector<T>& y, const unsigned char* active) noexcept {
-  const obs::KernelSpan span(obs::Kind::Blas1);
-  const std::int64_t rows = y.rows();
-  const int k = y.cols();
   const int kp = y.padded_cols();
-  const T* SMG_RESTRICT xp = x.data();
-  T* SMG_RESTRICT yp = y.data();
-  const T* SMG_RESTRICT al = alpha.data();
-  // Row-major single pass, as in axpy_cols.
-#pragma omp parallel for schedule(static)
-  for (std::int64_t i = 0; i < rows; ++i) {
-    const T* SMG_RESTRICT xr = xp + i * kp;
-    T* SMG_RESTRICT yr = yp + i * kp;
-    for (int c = 0; c < k; ++c) {
-      if (active != nullptr && active[c] == 0) {
-        continue;
-      }
-      yr[c] = xr[c] + al[c] * yr[c];
+  if (kp == 1) {
+    if (active == nullptr || active[0] != 0) {
+      const auto n = static_cast<std::size_t>(y.rows());
+      xpay<T>({x.data(), n}, alpha[0], {y.data(), n});
     }
+    return;
   }
+  const obs::KernelSpan span(obs::Kind::Blas1);
+  detail::masked_panel_update(
+      alpha, active, y.cols(), kp, x.data(), y.data(), y.size(),
+      [](T a, T xv, T yv) { return detail::mul_add(a, yv, xv); });
 }
 
 /// Fused one-pass panel dot products: out[c] = x[:, c] . y[:, c] for all
@@ -287,7 +320,19 @@ void dot_many(const MultiVector<T>& x, const MultiVector<T>& y,
     }
     const std::size_t lo = b * kBlock;
     const std::size_t hi = std::min(lo + kBlock, n);
-    for (std::size_t i = lo; i < hi; ++i) {
+    // Rows lo + 8q + l fold into lane l, so the partials [lane][kp] line up
+    // with the panel's 8 rows: one contiguous run of 8 * kp products.
+    std::size_t i = lo;
+    for (; i + kLanes <= hi; i += kLanes) {
+      const T* SMG_RESTRICT xr = xp + i * kp;
+      const T* SMG_RESTRICT yr = yp + i * kp;
+#pragma omp simd
+      for (std::size_t j = 0; j < bw; ++j) {
+        pb[j] = detail::mul_add(static_cast<double>(xr[j]),
+                                static_cast<double>(yr[j]), pb[j]);
+      }
+    }
+    for (; i < hi; ++i) {
       const T* SMG_RESTRICT xr = xp + i * kp;
       const T* SMG_RESTRICT yr = yp + i * kp;
       double* SMG_RESTRICT pl = pb + ((i - lo) % kLanes) * kp;

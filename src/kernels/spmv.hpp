@@ -744,6 +744,24 @@ void residual(const StructMat<ST>& A, std::span<const CT> b,
 
 namespace detail {
 
+/// Rows [i0, n) of a same-type panel diagonal run, one lane at a time with
+/// the register paths' operation sequence: optional q2 multiply, one fma.
+template <bool kSubtract, bool kScaled, class T>
+inline void panel_rows_fma(const T* SMG_RESTRICT a, const T* SMG_RESTRICT x,
+                           const T* SMG_RESTRICT q2, T* SMG_RESTRICT y,
+                           int i0, int n, int kp) noexcept {
+  for (int i = i0; i < n; ++i) {
+    for (int c = 0; c < kp; ++c) {
+      const std::int64_t e = static_cast<std::int64_t>(i) * kp + c;
+      T xv = x[e];
+      if constexpr (kScaled) {
+        xv *= q2[i];
+      }
+      y[e] = kSubtract ? std::fma(-a[i], xv, y[e]) : std::fma(a[i], xv, y[e]);
+    }
+  }
+}
+
 /// Panel analogue of soa_diag_fma: one diagonal run over kp interleaved
 /// columns; a and q2 are per-row (amortized over the panel), x/y advance by
 /// the row stride kp.
@@ -819,7 +837,38 @@ inline void panel_diag_fma(const ST* SMG_RESTRICT a, const CT* SMG_RESTRICT x,
   // fallback's — optional q2 multiply, then one contracted multiply-add —
   // so the explicit form is bitwise neutral while removing the per-row
   // runtime-trip-count setup the auto-vectorizer emits for the loop below.
+  // A 2-column double panel fills a register with two rows, each row's
+  // coefficient and q2 broadcast across its two lanes.
   if constexpr (std::is_same_v<ST, double> && std::is_same_v<CT, double>) {
+    if (kp == 2) {
+      int i = 0;
+      for (; i + 4 <= n; i += 4) {
+        const __m256d a4 = _mm256_loadu_pd(a + i);
+        const __m256d q4 = kScaled ? _mm256_loadu_pd(q2 + i)
+                                   : _mm256_setzero_pd();
+        // Lanes (row, col) = (0,0) (0,1) (1,0) (1,1), then rows 2 and 3.
+        const __m256d av[2] = {_mm256_permute4x64_pd(a4, 0x50),
+                               _mm256_permute4x64_pd(a4, 0xFA)};
+        const __m256d qv[2] = {_mm256_permute4x64_pd(q4, 0x50),
+                               _mm256_permute4x64_pd(q4, 0xFA)};
+        for (int g = 0; g < 2; ++g) {
+          const std::int64_t off = static_cast<std::int64_t>(i) * 2 + 4 * g;
+          __m256d xv = _mm256_loadu_pd(x + off);
+          if constexpr (kScaled) {
+            xv = _mm256_mul_pd(xv, qv[g]);
+          }
+          __m256d yv = _mm256_loadu_pd(y + off);
+          if constexpr (kSubtract) {
+            yv = _mm256_fnmadd_pd(av[g], xv, yv);
+          } else {
+            yv = _mm256_fmadd_pd(av[g], xv, yv);
+          }
+          _mm256_storeu_pd(y + off, yv);
+        }
+      }
+      panel_rows_fma<kSubtract, kScaled>(a, x, q2, y, i, n, kp);
+      return;
+    }
     if (kp % 4 == 0) {
       for (int i = 0; i < n; ++i) {
         const __m256d av = _mm256_set1_pd(a[i]);

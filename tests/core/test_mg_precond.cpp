@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 
 #include "core/mg_precond.hpp"
@@ -13,6 +14,7 @@
 #include "kernels/spmv.hpp"
 #include "kernels/symgs.hpp"
 #include "problems/problem.hpp"
+#include "util/multivector.hpp"
 
 namespace smg {
 namespace {
@@ -286,6 +288,63 @@ TEST(MGPrecond, ApplyIsDeterministic) {
   mg.apply({r.data(), n}, {e2.data(), n});
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(e1[i], e2[i]);
+  }
+}
+
+/// Panel apply of `k` sine columns against single applies, bitwise; E starts
+/// as NaN so that a padding column left unwritten shows.
+void expect_apply_many_matches_apply(MGPrecond<float>& mg, int k) {
+  const std::size_t n =
+      static_cast<std::size_t>(mg.hierarchy().level(0).A_full.nrows());
+  const auto rows = static_cast<std::int64_t>(n);
+  MultiVector<float> R(rows, k), E(rows, k);
+  E.fill(std::numeric_limits<float>::quiet_NaN());
+  for (std::int64_t i = 0; i < rows; ++i) {
+    for (int c = 0; c < k; ++c) {
+      R.at(i, c) = static_cast<float>(std::sin(0.1 * static_cast<double>(i) +
+                                               0.7 * c));
+    }
+  }
+  mg.apply_many(R, E);
+  avec<float> rc(n), ec(n), eref(n);
+  for (int c = 0; c < k; ++c) {
+    R.extract_col(c, {rc.data(), n});
+    mg.apply({rc.data(), n}, {eref.data(), n});
+    E.extract_col(c, {ec.data(), n});
+    ASSERT_EQ(0, std::memcmp(ec.data(), eref.data(), n * sizeof(float)))
+        << "k=" << k << " column " << c;
+  }
+  for (std::int64_t i = 0; i < rows; ++i) {
+    for (int c = k; c < E.padded_cols(); ++c) {
+      ASSERT_EQ(E.at(i, c), 0.0f) << "k=" << k << " padding row " << i;
+      ASSERT_FALSE(std::signbit(E.at(i, c))) << "k=" << k << " row " << i;
+    }
+  }
+}
+
+TEST(MGPrecond, ApplyManyWidthOneIsApplyBitwise) {
+  // A 1-column panel has a plain vector's layout and runs apply in place.
+  auto p = make_rhd(Box{10, 10, 10});
+  MGHierarchy h(std::move(p.A), small(config_d16_setup_scale()));
+  MGPrecond<float> mg(&h);
+  for (CycleShape shape : {CycleShape::V, CycleShape::F}) {
+    mg.set_cycle_shape(shape);
+    expect_apply_many_matches_apply(mg, 1);
+  }
+}
+
+TEST(MGPrecond, NarrowAndWidePanelsMatchApplyBitwise) {
+  // FP32 compute: k <= 4 (padded row < 32 bytes) runs column by column,
+  // k = 5 (kp = 8) and k = 9 (kp = 16) run the panel cycle.  Padding
+  // columns of E come out +0 either way.
+  auto p = make_rhd(Box{10, 10, 10});
+  MGHierarchy h(std::move(p.A), small(config_d16_setup_scale()));
+  MGPrecond<float> mg(&h);
+  for (CycleShape shape : {CycleShape::V, CycleShape::F}) {
+    mg.set_cycle_shape(shape);
+    for (int k : {2, 3, 5, 9}) {
+      expect_apply_many_matches_apply(mg, k);
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -262,9 +263,10 @@ TEST(PanelKernels, BitwiseMatchesSingleBfloat16) {
 // --- Transfers (precision- and matrix-independent, CT only) ---
 
 template <class CT>
-void transfer_case(int bs, int k) {
-  SCOPED_TRACE(::testing::Message() << "bs=" << bs << " k=" << k);
-  const Box fine{11, 7, 6};
+void transfer_case(int bs, int k, const Box& fine = Box{11, 7, 6}) {
+  SCOPED_TRACE(::testing::Message() << "bs=" << bs << " k=" << k << " fine="
+                                    << fine.nx << "x" << fine.ny << "x"
+                                    << fine.nz);
   const Coarsening c = Coarsening::make(fine, 3);
   const std::int64_t nf = fine.size() * bs;
   const std::int64_t nc = c.coarse.size() * bs;
@@ -310,6 +312,14 @@ TEST(PanelTransfers, BitwiseMatchesSingle) {
     for (int k : {1, 2, 3, 5, 8}) {
       transfer_case<double>(bs, k);
       transfer_case<float>(bs, k);
+    }
+  }
+  // Block panels (prolongation block size bs * kp) on all-odd, all-even
+  // and semicoarsened (nz = 2 < min_dim stays uncoarsened) fine boxes.
+  for (const Box& fine : {Box{11, 7, 9}, Box{12, 8, 6}, Box{12, 7, 2}}) {
+    for (int k : {2, 8}) {
+      transfer_case<double>(3, k, fine);
+      transfer_case<float>(3, k, fine);
     }
   }
 }
@@ -419,6 +429,71 @@ TEST(PanelSymGSWavefront, BitwiseBfloat16) {
 
 // --- Masked panel BLAS-1 ---
 
+/// axpy_cols / xpay_cols against axpy / xpay per column for k giving
+/// kp in {1, 2, 4, 8, 16, 32} (32: two column groups per row); column 1 (when present) is frozen, and the
+/// frozen and padding entries are poisoned with NaN / -0 / 7 so that any
+/// write to them shows.
+template <class T>
+void masked_updates_match_single() {
+  const std::int64_t n = 203;  // not a multiple of any run width
+  const auto nn = static_cast<std::size_t>(n);
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  for (int k : {1, 2, 3, 7, 13, 21}) {
+    for (bool first_active : {true, false}) {
+      SCOPED_TRACE(::testing::Message() << "k=" << k << " sizeof(T)="
+                                        << sizeof(T) << " first_active="
+                                        << first_active);
+      MultiVector<T> X(n, k), Y(n, k);
+      const int kp = Y.padded_cols();
+      std::vector<T> alpha(static_cast<std::size_t>(k));
+      std::vector<unsigned char> active(static_cast<std::size_t>(k), 1);
+      active[0] = first_active ? 1 : 0;
+      if (k > 1) {
+        active[1] = 0;
+      }
+      for (int c = 0; c < k; ++c) {
+        alpha[static_cast<std::size_t>(c)] =
+            static_cast<T>(0.37 * (c + 1) - 1.1);
+      }
+      for (std::int64_t r = 0; r < n; ++r) {
+        for (int c = 0; c < kp; ++c) {
+          const auto e = static_cast<double>(r * kp + c);
+          X.at(r, c) = static_cast<T>(std::sin(0.7 * e));
+          const bool off = c >= k || active[static_cast<std::size_t>(c)] == 0;
+          const T poison = r % 3 == 0 ? nan : (r % 3 == 1 ? T{-0.0} : T{7});
+          Y.at(r, c) = off ? poison : static_cast<T>(std::cos(0.3 * e));
+        }
+      }
+      const MultiVector<T> Y0 = Y;
+      const auto expect_updates = [&](const char* what, bool is_axpy) {
+        avec<T> xc(nn), yc(nn);
+        for (int c = 0; c < kp; ++c) {
+          Y0.extract_col(c, {yc.data(), nn});
+          const bool on = c < k && active[static_cast<std::size_t>(c)] != 0;
+          if (on) {
+            X.extract_col(c, {xc.data(), nn});
+            const T a = alpha[static_cast<std::size_t>(c)];
+            if (is_axpy) {
+              axpy<T>(a, {xc.data(), nn}, {yc.data(), nn});
+            } else {
+              xpay<T>({xc.data(), nn}, a, {yc.data(), nn});
+            }
+          }
+          avec<T> got(nn);
+          Y.extract_col(c, {got.data(), nn});
+          EXPECT_EQ(0, std::memcmp(got.data(), yc.data(), nn * sizeof(T)))
+              << what << " column " << c << (on ? " (active)" : " (off)");
+        }
+      };
+      axpy_cols<T>({alpha.data(), alpha.size()}, X, Y, active.data());
+      expect_updates("axpy_cols", true);
+      Y = Y0;
+      xpay_cols<T>(X, {alpha.data(), alpha.size()}, Y, active.data());
+      expect_updates("xpay_cols", false);
+    }
+  }
+}
+
 TEST(PanelBlas1, MaskedUpdatesSkipFrozenColumnsEntirely) {
   const std::int64_t n = 1000;
   const int k = 3;
@@ -462,6 +537,11 @@ TEST(PanelBlas1, MaskedUpdatesSkipFrozenColumnsEntirely) {
   EXPECT_EQ(0, std::memcmp(col.data(), before.data(),
                            col.size() * sizeof(double)))
       << "frozen column disturbed by xpay_cols";
+
+  // Every padded width: active columns are bitwise axpy/xpay of the column,
+  // frozen and padding columns keep their bits.
+  masked_updates_match_single<double>();
+  masked_updates_match_single<float>();
 }
 
 /// dot_many column c == dot() of the extracted column c and nrm2_many

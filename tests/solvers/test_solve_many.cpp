@@ -136,9 +136,14 @@ TEST(SolveMany, CopiesReproduceSingleHistoryAcrossStorageAndLayout) {
           break;
       }
       cfg.layout = layout;
-      SCOPED_TRACE(testing::Message() << "layout=" << static_cast<int>(layout)
-                                      << " variant=" << variant);
-      expect_copies_match_single(cfg, 3, opts);
+      // k = 3 runs column by column at FP32 compute (padded row of 16
+      // bytes) and k = 9 the panel cycle (kp = 16).
+      for (int k : {3, 9}) {
+        SCOPED_TRACE(testing::Message()
+                     << "layout=" << static_cast<int>(layout)
+                     << " variant=" << variant << " k=" << k);
+        expect_copies_match_single(cfg, k, opts);
+      }
     }
   }
 }
